@@ -8,6 +8,7 @@
 // spaced near the carrier-sense range must reuse airtime, so the grid's
 // aggregate throughput has to land well above a single cell's — while
 // inter-BSS interference keeps it well below 9x.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -134,11 +135,46 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(multi.data_tx_count),
               multi.data_failure_rate(), starved);
 
+  bu::section("replicated mean ARF rate");
+  // The ARF claim is about the grid's expected rate, not one seed's
+  // draw: over 100 seeds the per-seed mean ARF rate spreads ~1.3 Mbps
+  // around ~13 Mbps, so a single seed lands on either side of the
+  // 12 Mbps bar after any change to the fading draws. The gate reads the
+  // mean of kReplications independent runs instead (standard error
+  // ~0.35 Mbps). The runs share one fading pool and are bitwise
+  // identical for any lane count.
+  constexpr std::size_t kReplications = 16;
+  net::NetworkConfig rep_cfg = cfg;
+  rep_cfg.lifecycle.enabled = false;
+  rep_cfg.registry = nullptr;
+  net::BatchOptions batch;
+  batch.root_seed = 11;
+  const auto reps = net::simulate_network_batch(rep_cfg, grid.nodes,
+                                                grid.flows, kReplications,
+                                                batch);
+  double rep_sum = 0.0;
+  double rep_sq = 0.0;
+  for (const auto& run : reps) {
+    double sum = 0.0;
+    for (const auto& f : run.flows) sum += f.mean_data_rate_mbps;
+    const double rate = sum / static_cast<double>(run.flows.size());
+    rep_sum += rate;
+    rep_sq += rate * rate;
+  }
+  const double n_reps = static_cast<double>(reps.size());
+  const double rep_rate = rep_sum / n_reps;
+  const double rep_se = std::sqrt(
+      std::max(rep_sq / n_reps - rep_rate * rep_rate, 0.0) / (n_reps - 1.0));
+  std::printf("  %zu runs: mean ARF data rate %.2f Mbps (standard error "
+              "%.2f)\n",
+              reps.size(), rep_rate, rep_se);
+
   bu::metric("nodes", static_cast<double>(grid.nodes.size()));
   bu::metric("single_cell_throughput_mbps", single.aggregate_throughput_mbps);
   bu::metric("grid_throughput_mbps", multi.aggregate_throughput_mbps);
   bu::metric("spatial_reuse_factor", reuse);
   bu::metric("mean_arf_rate_mbps", mean_rate);
+  bu::metric("replicated_arf_rate_mbps", rep_rate);
   bu::metric("jain_fairness", multi.jain_fairness());
   bu::metric("data_frames_simulated", static_cast<double>(multi.data_tx_count));
 
@@ -209,12 +245,12 @@ int main(int argc, char** argv) {
   const bool ok = audit_ok && grid.nodes.size() >= 50 &&
                   single.total_delivered > 0 &&
                   reuse > 1.5 && reuse < 9.0 && starved == 0 &&
-                  mean_rate > 12.0;
+                  rep_rate > 12.0;
   bu::verdict(ok,
               "%zu-node grid reaches %.1f Mbps = %.1fx one cell (reuse "
               "without a free lunch), every flow progresses, mean ARF rate "
-              "%.1f Mbps",
+              "%.1f Mbps over %zu runs",
               grid.nodes.size(), multi.aggregate_throughput_mbps, reuse,
-              mean_rate);
+              rep_rate, reps.size());
   return ok ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/units.h"
+#include "par/montecarlo.h"
 #include "phy/ht.h"
 #include "phy/ofdm.h"
 
@@ -61,6 +62,79 @@ RVec table_grid(const ErrorModelConfig& config) {
   return grid;
 }
 
+bool is_dsss(mac::PhyGeneration gen) {
+  return gen == mac::PhyGeneration::kDsss || gen == mac::PhyGeneration::kHrDsss;
+}
+
+/// One frozen block-fading realization: a TDL for the OFDM/HT tone
+/// grids, or one flat Rayleigh gain for a narrowband DSSS/CCK waveform.
+struct Fade {
+  channel::Tdl tdl;
+  double flat_gain_db = 0.0;
+};
+
+Fade draw_fade(mac::PhyGeneration gen, const ErrorModelConfig& config,
+               Rng& rng) {
+  Fade fade;
+  if (is_dsss(gen)) {
+    const Cplx h = channel::flat_fading_coefficient(rng);
+    fade.flat_gain_db = lin_to_db(std::max(std::norm(h), 1e-12));
+  } else {
+    fade.tdl = make_tdl(rng, config.profile, 20e6);
+  }
+  return fade;
+}
+
+/// Appends one table per PSDU size in `psdus` for realization `fade` at
+/// one rate. OFDM/HT sizes share one EESM sweep of the whole SNR grid
+/// (the grid evaluator hoists the per-tone conversions); only the AWGN
+/// curve lookup depends on the size.
+void append_tables(mac::PhyGeneration gen, double rate_mbps,
+                   std::span<const std::size_t> psdus, const Fade& fade,
+                   const ErrorModelConfig& config, const RVec& grid,
+                   RVec& eff, std::vector<PerTable>& out) {
+  const double lo = config.table_min_snr_db;
+  const double step = config.table_step_db;
+  const auto wrap = [&](auto&& awgn_per) {
+    for (const std::size_t psdu : psdus) {
+      RVec per;
+      per.reserve(eff.size());
+      for (const double e : eff) per.push_back(awgn_per(e, psdu));
+      out.emplace_back(lo, step, std::move(per));
+    }
+  };
+  switch (gen) {
+    case mac::PhyGeneration::kOfdm: {
+      const phy::OfdmMcs mcs = ofdm_mcs_for_rate(rate_mbps);
+      eesm_effective_snr_grid_db(ofdm_tone_gains_db(fade.tdl), eesm_beta(mcs),
+                                 grid, eff);
+      wrap([&](double e, std::size_t psdu) {
+        return ofdm_awgn_per(mcs, e, psdu);
+      });
+      break;
+    }
+    case mac::PhyGeneration::kHt: {
+      const unsigned mcs = ht_mcs_for_rate(rate_mbps);
+      eesm_effective_snr_grid_db(ht20_tone_gains_db(fade.tdl),
+                                 ht_eesm_beta(mcs), grid, eff);
+      wrap([&](double e, std::size_t psdu) {
+        return ht_awgn_per(mcs, e, psdu);
+      });
+      break;
+    }
+    case mac::PhyGeneration::kDsss:
+    case mac::PhyGeneration::kHrDsss: {
+      const DsssCckRate rate = dsss_rate_for(rate_mbps);
+      for (const std::size_t psdu : psdus) {
+        out.emplace_back(lo, config.table_max_snr_db, step, [&](double snr_db) {
+          return dsss_awgn_per(rate, snr_db + fade.flat_gain_db, psdu);
+        });
+      }
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 LinkPerModel::LinkPerModel(mac::PhyGeneration gen, double rate_mbps,
@@ -68,60 +142,17 @@ LinkPerModel::LinkPerModel(mac::PhyGeneration gen, double rate_mbps,
                            const ErrorModelConfig& config, Rng& rng) {
   check(config.realizations > 0,
         "the PER model needs at least one fading realization");
-  const double lo = config.table_min_snr_db;
-  const double hi = config.table_max_snr_db;
-  const double step = config.table_step_db;
-  tables_.reserve(config.realizations);
-  // OFDM/HT tables batch the whole SNR grid through one EESM sweep per
-  // realization (the grid evaluator hoists the per-tone conversions), so
-  // dictionary construction — the dominant setup cost of dense networks,
-  // one dictionary per flow per rate — does a fraction of the
-  // transcendental work of point-by-point sampling.
   const RVec grid = table_grid(config);
   RVec eff(grid.size());
-  switch (gen) {
-    case mac::PhyGeneration::kOfdm: {
-      const phy::OfdmMcs mcs = ofdm_mcs_for_rate(rate_mbps);
-      const double beta = eesm_beta(mcs);
-      for (std::size_t r = 0; r < config.realizations; ++r) {
-        const channel::Tdl tdl = make_tdl(rng, config.profile, 20e6);
-        eesm_effective_snr_grid_db(ofdm_tone_gains_db(tdl), beta, grid, eff);
-        RVec per;
-        per.reserve(eff.size());
-        for (const double e : eff)
-          per.push_back(ofdm_awgn_per(mcs, e, psdu_bytes));
-        tables_.emplace_back(lo, step, std::move(per));
-      }
-      break;
-    }
-    case mac::PhyGeneration::kHt: {
-      const unsigned mcs = ht_mcs_for_rate(rate_mbps);
-      const double beta = ht_eesm_beta(mcs);
-      for (std::size_t r = 0; r < config.realizations; ++r) {
-        const channel::Tdl tdl = make_tdl(rng, config.profile, 20e6);
-        eesm_effective_snr_grid_db(ht20_tone_gains_db(tdl), beta, grid, eff);
-        RVec per;
-        per.reserve(eff.size());
-        for (const double e : eff)
-          per.push_back(ht_awgn_per(mcs, e, psdu_bytes));
-        tables_.emplace_back(lo, step, std::move(per));
-      }
-      break;
-    }
-    case mac::PhyGeneration::kDsss:
-    case mac::PhyGeneration::kHrDsss: {
-      const DsssCckRate rate = dsss_rate_for(rate_mbps);
-      for (std::size_t r = 0; r < config.realizations; ++r) {
-        // Narrowband waveform: one flat Rayleigh coefficient per packet.
-        const Cplx h = channel::flat_fading_coefficient(rng);
-        const double gain_db = lin_to_db(std::max(std::norm(h), 1e-12));
-        tables_.emplace_back(lo, hi, step, [&](double snr_db) {
-          return dsss_awgn_per(rate, snr_db + gain_db, psdu_bytes);
-        });
-      }
-      break;
-    }
+  auto tables = std::make_shared<std::vector<PerTable>>();
+  tables->reserve(config.realizations);
+  const std::size_t psdus[] = {psdu_bytes};
+  for (std::size_t r = 0; r < config.realizations; ++r) {
+    append_tables(gen, rate_mbps, psdus, draw_fade(gen, config, rng), config,
+                  grid, eff, *tables);
+    index_.push_back(static_cast<std::uint32_t>(r));
   }
+  tables_ = std::move(tables);
 }
 
 void LinkPerModel::per_batch(std::span<const double> sinr_db,
@@ -130,8 +161,88 @@ void LinkPerModel::per_batch(std::span<const double> sinr_db,
   check(sinr_db.size() == realization.size() && sinr_db.size() == out.size(),
         "per_batch spans must have equal sizes");
   for (std::size_t i = 0; i < sinr_db.size(); ++i) {
-    out[i] = tables_[realization[i]].lookup(sinr_db[i]);
+    out[i] = (*tables_)[index_[realization[i]]].lookup(sinr_db[i]);
   }
+}
+
+FadingPool::FadingPool(std::span<const PerTableKey> keys,
+                       const ErrorModelConfig& config, unsigned jobs)
+    : realizations_(config.realizations) {
+  check(config.realizations > 0,
+        "the PER model needs at least one fading realization");
+  check(!keys.empty(), "a fading pool needs at least one table key");
+  const bool dsss = is_dsss(keys.front().gen);
+  // Distinct keys, grouped by (generation, rate): one sweep per group.
+  struct Group {
+    mac::PhyGeneration gen;
+    double rate_mbps;
+    std::vector<std::size_t> psdus;
+  };
+  std::vector<Group> groups;
+  for (const PerTableKey& key : keys) {
+    check(is_dsss(key.gen) == dsss,
+          "a fading pool serves one fading family (OFDM/HT or DSSS)");
+    auto g = std::find_if(groups.begin(), groups.end(), [&](const Group& x) {
+      return x.gen == key.gen && x.rate_mbps == key.rate_mbps;
+    });
+    if (g == groups.end()) {
+      groups.push_back({key.gen, key.rate_mbps, {}});
+      g = groups.end() - 1;
+    }
+    if (std::find(g->psdus.begin(), g->psdus.end(), key.psdu_bytes) ==
+        g->psdus.end())
+      g->psdus.push_back(key.psdu_bytes);
+  }
+  // Key order follows the groups, which is the order each entry's
+  // tables come out of append_tables.
+  for (const Group& g : groups) {
+    for (const std::size_t psdu : g.psdus)
+      keys_.push_back({g.gen, g.rate_mbps, psdu});
+  }
+
+  const RVec grid = table_grid(config);
+  par::SweepOptions opt;
+  opt.root_seed = kSeed;
+  opt.jobs = jobs;
+  std::vector<std::vector<PerTable>> by_entry =
+      par::map(kEntries, opt, [&](std::size_t, Rng& rng) {
+        const Fade fade = draw_fade(keys_.front().gen, config, rng);
+        RVec eff(grid.size());
+        std::vector<PerTable> out;
+        out.reserve(keys_.size());
+        for (const Group& g : groups)
+          append_tables(g.gen, g.rate_mbps, g.psdus, fade, config, grid, eff,
+                        out);
+        return out;
+      });
+  tables_.reserve(keys_.size());
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    auto tables = std::make_shared<std::vector<PerTable>>();
+    tables->reserve(kEntries);
+    for (std::vector<PerTable>& entry : by_entry)
+      tables->push_back(std::move(entry[i]));
+    tables_.push_back(std::move(tables));
+  }
+}
+
+const std::shared_ptr<const std::vector<PerTable>>& FadingPool::tables_of(
+    const PerTableKey& key) const {
+  const auto it = std::find(keys_.begin(), keys_.end(), key);
+  check(it != keys_.end(), "the fading pool has no tables for this key");
+  return tables_[static_cast<std::size_t>(it - keys_.begin())];
+}
+
+LinkPerModel FadingPool::link(const PerTableKey& key, Rng& rng) const {
+  std::vector<std::uint32_t> index(realizations_);
+  for (std::uint32_t& i : index)
+    i = static_cast<std::uint32_t>(rng.uniform_int(kEntries));
+  return LinkPerModel(tables_of(key), std::move(index));
+}
+
+const PerTable& FadingPool::table(const PerTableKey& key,
+                                  std::size_t entry) const {
+  check(entry < kEntries, "fading pool entry out of range");
+  return (*tables_of(key))[entry];
 }
 
 }  // namespace wlan::net

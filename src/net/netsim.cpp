@@ -120,6 +120,39 @@ void subtract_clamped(double& sum_w, double term_w, double peak_w,
   }
 }
 
+/// Data-rate ladder: one fixed rate, or the eight OFDM rates for ARF.
+std::vector<double> data_rate_ladder(const NetworkConfig& config) {
+  if (config.rate_control != RateControlMode::kArf)
+    return {config.data_rate_mbps};
+  check(config.error_model.model == RxModel::kPerModel,
+        "ARF rate control requires the PER error model");
+  check(config.generation == mac::PhyGeneration::kOfdm,
+        "ARF rate control is implemented for the OFDM generation");
+  std::vector<double> rates;
+  for (std::size_t i = 0; i < 8; ++i) {
+    rates.push_back(
+        phy::ofdm_mcs_info(static_cast<phy::OfdmMcs>(i)).data_rate_mbps);
+  }
+  return rates;
+}
+
+/// PER tables the network's frames read, in a fixed layout: data frames
+/// at each ladder rate, then RTS, then CTS/ACK. Control frames ride the
+/// basic rate; an HT network still sends them as legacy OFDM.
+std::vector<PerTableKey> per_table_keys(const NetworkConfig& config) {
+  const std::size_t data_mpdu =
+      mac::mpdu_size_bytes(mac::FrameType::kData, config.payload_bytes);
+  std::vector<PerTableKey> keys;
+  for (const double rate : data_rate_ladder(config))
+    keys.push_back({config.generation, rate, data_mpdu});
+  const mac::PhyGeneration ctrl_gen =
+      config.generation == mac::PhyGeneration::kHt ? mac::PhyGeneration::kOfdm
+                                                   : config.generation;
+  keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kRtsBytes});
+  keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kAckBytes});
+  return keys;
+}
+
 /// One shard's simulation: a self-contained event engine over the
 /// shard's member nodes, indexed locally (0..n-1). The monolithic
 /// `simulate_network` runs the same engine on the single shard of an
@@ -144,9 +177,9 @@ class Engine {
 
   Engine(const NetworkConfig& config, const std::vector<NodeConfig>& nodes,
          const std::vector<Flow>& flows, const ShardPlan& plan,
-         std::size_t shard, Rng& rng, obs::Registry* registry,
-         obs::TraceSink* trace, std::uint64_t frame_id_base,
-         const BorderMode& border = {})
+         std::size_t shard, Rng& rng, const FadingPool* pool,
+         obs::Registry* registry, obs::TraceSink* trace,
+         std::uint64_t frame_id_base, const BorderMode& border = {})
       : config_(config),
         rng_(rng),
         frame_id_base_(frame_id_base),
@@ -424,22 +457,13 @@ class Engine {
           &registry_->histogram("net.flow_delay_s", 1e-6, 100.0, 64, label));
     }
 
-    // Data-rate ladder: one fixed rate, or the eight OFDM rates for ARF.
+    data_rates_ = data_rate_ladder(config);
     if (config.rate_control == RateControlMode::kArf) {
-      check(per_model_, "ARF rate control requires the PER error model");
-      check(config.generation == mac::PhyGeneration::kOfdm,
-            "ARF rate control is implemented for the OFDM generation");
-      for (std::size_t i = 0; i < 8; ++i) {
-        data_rates_.push_back(
-            phy::ofdm_mcs_info(static_cast<phy::OfdmMcs>(i)).data_rate_mbps);
-      }
       for (std::size_t f = 0; f < n_flows_; ++f) {
         const std::uint32_t src = flow_src_[f];
         arf_[src].emplace(data_rates_.size());
         rate_index_[src] = arf_[src]->current();
       }
-    } else {
-      data_rates_.push_back(config.data_rate_mbps);
     }
 
     // Frame airtimes.
@@ -456,37 +480,31 @@ class Engine {
     t_cts_ = mac::control_duration_s(config.generation, mac::kCtsBytes,
                                      config.basic_rate_mbps);
 
-    // PER-model link dictionaries, one per flow in flow order (then a
-    // fixed draw order inside LinkPerModel), so a seeded run is a pure
-    // function of its Rng. Control frames ride the basic rate; an HT
-    // network still sends them as legacy OFDM.
+    // PER-model links: each flow draws its realization indices into the
+    // call's shared pool, in flow order (then data rates, RTS, CTS/ACK),
+    // so a seeded run is a pure function of its Rng and the config.
     rate_stats_.resize(n_flows_);
     if (per_model_) {
-      const mac::PhyGeneration ctrl_gen =
-          config.generation == mac::PhyGeneration::kHt
-              ? mac::PhyGeneration::kOfdm
-              : config.generation;
+      check(pool != nullptr, "the PER model needs the call's fading pool");
+      const std::vector<PerTableKey> keys = per_table_keys(config);
+      const std::size_t n_rates = data_rates_.size();
       models_.reserve(n_flows_);
       const std::uint64_t flow_root =
           border_.enabled ? par::derive_seed(border_.root_seed, 5, 0) : 0;
       for (std::size_t f = 0; f < n_flows_; ++f) {
-        // Border mode builds each flow's dictionaries from a per-flow
-        // derived stream (keyed by global flow id) so fused and
-        // per-tile engines freeze identical fading realizations.
+        // Border mode draws each flow's indices from a per-flow derived
+        // stream (keyed by global flow id) so fused and per-tile engines
+        // pick identical realizations.
         std::optional<Rng> flow_rng;
         if (border_.enabled)
           flow_rng.emplace(par::derive_seed(flow_root, flow_id_[f], 0));
         Rng& mrng = border_.enabled ? *flow_rng : rng_;
         FlowErrorModels m;
-        m.data.reserve(data_rates_.size());
-        for (const double rate : data_rates_) {
-          m.data.emplace_back(config.generation, rate, data_mpdu,
-                              config.error_model, mrng);
-        }
-        m.ctrl_fwd = LinkPerModel(ctrl_gen, config.basic_rate_mbps,
-                                  mac::kRtsBytes, config.error_model, mrng);
-        m.ctrl_rev = LinkPerModel(ctrl_gen, config.basic_rate_mbps,
-                                  mac::kAckBytes, config.error_model, mrng);
+        m.data.reserve(n_rates);
+        for (std::size_t r = 0; r < n_rates; ++r)
+          m.data.push_back(pool->link(keys[r], mrng));
+        m.ctrl_fwd = pool->link(keys[n_rates], mrng);
+        m.ctrl_rev = pool->link(keys[n_rates + 1], mrng);
         models_.push_back(std::move(m));
       }
     }
@@ -649,7 +667,7 @@ class Engine {
     ++rate_stats_[flow].attempts;
   }
 
-  /// PER dictionary governing a transmission's reception. CTS and ACK
+  /// PER model governing a transmission's reception. CTS and ACK
   /// frames are addressed to the station that sourced the exchange, so
   /// their flow is recovered from the destination.
   const LinkPerModel& model_for(const Transmission& t) const {
@@ -1071,10 +1089,10 @@ class Engine {
         if (sinr_db < config_.error_model.preamble_capture_db) {
           delivered = false;
         } else {
-          // Block fading per frame: pick a realization from the link's
-          // dictionary, look up its PER at the worst-case SINR (the
-          // table is already scaled to this frame type's PSDU size),
-          // survive a Bernoulli draw.
+          // Block fading per frame: pick one of the link's realizations,
+          // look up its PER at the worst-case SINR (the table is already
+          // scaled to this frame type's PSDU size), survive a Bernoulli
+          // draw.
           const LinkPerModel& model = model_for(t);
           Rng& rx_rng = rx_stream(t.dest);
           const auto realization = static_cast<std::size_t>(
@@ -1566,7 +1584,8 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
                                   const std::vector<Flow>& flows,
                                   const ShardPlan& plan,
                                   const ShardOptions& options,
-                                  std::uint64_t root) {
+                                  std::uint64_t root,
+                                  const FadingPool* fading) {
   const std::size_t n_tiles = plan.shards.size();
   const double lookahead = plan.lookahead_s;
   check(lookahead > 0.0, "border plan carries no lookahead");
@@ -1599,7 +1618,7 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
       for (std::size_t s = b; s < e; ++s) {
         outputs[s].registry = std::make_unique<obs::Registry>();
         engines[s] = std::make_unique<Engine>(
-            config, nodes, flows, plan, s, shard_rngs[s],
+            config, nodes, flows, plan, s, shard_rngs[s], fading,
             outputs[s].registry.get(), synced ? &*synced : nullptr,
             static_cast<std::uint64_t>(s) << 40, mode);
       }
@@ -1718,24 +1737,42 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
   return total;
 }
 
+/// One engine over every node: the monolithic simulation.
+NetworkResult run_monolith(const NetworkConfig& config,
+                           const std::vector<NodeConfig>& nodes,
+                           const std::vector<Flow>& flows, Rng& rng,
+                           const FadingPool* fading) {
+  std::optional<Engine> engine;
+  {
+    const obs::perf::ScopedSpan span("net.setup");
+    ShardOptions monolithic;
+    monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
+    const ShardPlan plan = plan_shards(config, nodes, monolithic);
+    engine.emplace(config, nodes, flows, plan, 0, rng, fading,
+                   config.registry, config.trace, 0);
+  }
+  return engine->run();
+}
+
+/// The fading pool every engine of one simulate call reads, profiled as
+/// its own row under net.setup. PER model only: a threshold run builds
+/// none and draws nothing.
+std::optional<FadingPool> call_fading_pool(const NetworkConfig& config,
+                                           unsigned jobs) {
+  if (config.error_model.model != RxModel::kPerModel) return std::nullopt;
+  const obs::perf::ScopedSpan setup("net.setup");
+  const obs::perf::ScopedSpan span("net.fading_pool");
+  return FadingPool(per_table_keys(config), config.error_model, jobs);
+}
+
 }  // namespace
 
 NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<NodeConfig>& nodes,
                                const std::vector<Flow>& flows, Rng& rng) {
   validate_network(nodes, flows);
-  std::optional<Engine> engine;
-  {
-    // Topology, rate tables, and (with an error model) the frozen fading
-    // dictionaries — often a visible share of short runs.
-    const obs::perf::ScopedSpan span("net.setup");
-    ShardOptions monolithic;
-    monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
-    const ShardPlan plan = plan_shards(config, nodes, monolithic);
-    engine.emplace(config, nodes, flows, plan, 0, rng, config.registry,
-                   config.trace, 0);
-  }
-  return engine->run();
+  const std::optional<FadingPool> fading = call_fading_pool(config, 0);
+  return run_monolith(config, nodes, flows, rng, fading ? &*fading : nullptr);
 }
 
 NetworkResult simulate_network_sharded(const NetworkConfig& config,
@@ -1750,6 +1787,8 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
     local_plan = plan_shards(config, nodes, options, &flows);
     plan = &local_plan;
   }
+  const std::optional<FadingPool> pool = call_fading_pool(config, options.jobs);
+  const FadingPool* fading = pool ? &*pool : nullptr;
 
   if (plan->border) {
     for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -1775,15 +1814,16 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
       std::optional<Engine> engine;
       {
         const obs::perf::ScopedSpan span("net.setup");
-        engine.emplace(config, nodes, flows, *plan, 0, rng, config.registry,
-                       config.trace, 0, mode);
+        engine.emplace(config, nodes, flows, *plan, 0, rng, fading,
+                       config.registry, config.trace, 0, mode);
       }
       NetworkResult result = engine->run();
       result.border.tiles = plan->shards.size();
       result.border.lookahead_s = plan->lookahead_s;
       return result;
     }
-    return run_border_exchange(config, nodes, flows, *plan, options, root);
+    return run_border_exchange(config, nodes, flows, *plan, options, root,
+                               fading);
   }
 
   for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -1805,8 +1845,8 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
     std::optional<Engine> engine;
     {
       const obs::perf::ScopedSpan span("net.setup");
-      engine.emplace(config, nodes, flows, *plan, 0, rng, config.registry,
-                     config.trace, 0);
+      engine.emplace(config, nodes, flows, *plan, 0, rng, fading,
+                     config.registry, config.trace, 0);
     }
     return engine->run();
   }
@@ -1830,7 +1870,7 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
         std::optional<Engine> engine;
         {
           const obs::perf::ScopedSpan span("net.setup");
-          engine.emplace(config, nodes, flows, *plan, s, shard_rng,
+          engine.emplace(config, nodes, flows, *plan, s, shard_rng, fading,
                          out.registry.get(), synced ? &*synced : nullptr,
                          static_cast<std::uint64_t>(s) << 40);
         }
@@ -1848,6 +1888,9 @@ std::vector<NetworkResult> simulate_network_batch(
     const std::vector<Flow>& flows, std::size_t n_runs,
     const BatchOptions& options) {
   check(n_runs > 0, "simulate_network_batch requires at least one run");
+  validate_network(nodes, flows);
+  const std::optional<FadingPool> pool = call_fading_pool(config, options.jobs);
+  const FadingPool* fading = pool ? &*pool : nullptr;
 
   // One synchronized wrapper shared by every run; the caller's sink is
   // never touched from two threads at once.
@@ -1869,7 +1912,7 @@ std::vector<NetworkResult> simulate_network_batch(
         out.registry = std::make_unique<obs::Registry>();
         run_config.registry = out.registry.get();
         if (synced) run_config.trace = &*synced;
-        out.result = simulate_network(run_config, nodes, flows, run_rng);
+        out.result = run_monolith(run_config, nodes, flows, run_rng, fading);
         return out;
       });
 

@@ -77,8 +77,9 @@ struct NetworkConfig {
   /// Reception decision model (net/errormodel.h). The default keeps the
   /// legacy hard SINR threshold and consumes no extra RNG draws, so
   /// existing seeded runs stay bitwise identical. `kPerModel` swaps in
-  /// the EESM/PER abstraction: per-link fading dictionaries, calibrated
-  /// AWGN curves scaled to each frame's true size, Bernoulli reception.
+  /// the EESM/PER abstraction: per-link indices into one shared pool of
+  /// frozen fading realizations per simulate call, calibrated AWGN
+  /// curves scaled to each frame's true size, Bernoulli reception.
   ErrorModelConfig error_model;
   /// Data-rate control for flow sources (kArf needs kPerModel + OFDM).
   RateControlMode rate_control = RateControlMode::kFixed;

@@ -4,39 +4,35 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <sstream>
+#include <tuple>
 
 #include "common/check.h"
 #include "obs/json.h"
 
 namespace wlan::obs {
+namespace {
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi) {
-  check(lo > 0.0 && hi > lo, "Histogram requires 0 < lo < hi");
-  check(bins >= 1, "Histogram requires at least one bin");
-  log_lo_ = std::log(lo);
-  inv_log_width_ = static_cast<double>(bins) / (std::log(hi) - log_lo_);
-  counts_.assign(bins, 0);
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-  build_fast_bins();
+std::uint64_t fast_key_of(double x) {
+  return std::bit_cast<std::uint64_t>(x) >> 46;
 }
 
-void Histogram::build_fast_bins() {
-  const auto key_of = [](double x) {
-    return std::bit_cast<std::uint64_t>(x) >> 46;
-  };
-  const std::uint64_t key_lo = key_of(lo_);
-  const std::uint64_t key_hi = key_of(hi_);
-  if (key_hi <= key_lo) return;
+/// Builds the fast-bin table of a (lo, hi, bins) binning; see
+/// Histogram::fast_table_. Empty when the range is too wide for a table.
+std::vector<std::int16_t> build_fast_bins(double lo, double hi,
+                                          std::size_t bins, double log_lo,
+                                          double inv_log_width) {
+  const std::uint64_t key_lo = fast_key_of(lo);
+  const std::uint64_t key_hi = fast_key_of(hi);
+  if (key_hi <= key_lo) return {};
   const std::uint64_t span = key_hi - key_lo + 1;
-  if (span > (std::uint64_t{1} << 14)) return;  // absurd range: slow path only
-  fast_key_lo_ = key_lo;
-  fast_bin_.assign(static_cast<std::size_t>(span), std::int16_t{-1});
-  if (counts_.size() > static_cast<std::size_t>(
-                           std::numeric_limits<std::int16_t>::max())) {
-    return;  // bin index would not fit the table cells
+  if (span > (std::uint64_t{1} << 14)) return {};  // absurd range: slow path only
+  std::vector<std::int16_t> table(static_cast<std::size_t>(span),
+                                  std::int16_t{-1});
+  if (bins > static_cast<std::size_t>(
+                 std::numeric_limits<std::int16_t>::max())) {
+    return table;  // bin index would not fit the table cells
   }
   // A cell qualifies only if every double inside it lands in the same
   // bin as both endpoints under record()'s exact expression, which holds
@@ -48,18 +44,53 @@ void Histogram::build_fast_bins() {
     const std::uint64_t key = key_lo + k;
     const double x0 = std::bit_cast<double>(key << 46);
     const double x1 = std::bit_cast<double>(((key + 1) << 46) - 1);
-    if (!(x0 >= lo_) || !(x0 > 0.0) || !(x1 < hi_)) continue;
-    const double f0 = (std::log(x0) - log_lo_) * inv_log_width_;
-    const double f1 = (std::log(x1) - log_lo_) * inv_log_width_;
+    if (!(x0 >= lo) || !(x0 > 0.0) || !(x1 < hi)) continue;
+    const double f0 = (std::log(x0) - log_lo) * inv_log_width;
+    const double f1 = (std::log(x1) - log_lo) * inv_log_width;
     const auto i0 = static_cast<std::size_t>(f0);
     const auto i1 = static_cast<std::size_t>(f1);
-    if (i0 != i1 || i0 >= counts_.size()) continue;
+    if (i0 != i1 || i0 >= bins) continue;
     const double m0 = f0 - std::floor(f0);
     const double m1 = f1 - std::floor(f1);
     if (m0 < kMargin || m0 > 1.0 - kMargin) continue;
     if (m1 < kMargin || m1 > 1.0 - kMargin) continue;
-    fast_bin_[static_cast<std::size_t>(k)] = static_cast<std::int16_t>(i0);
+    table[static_cast<std::size_t>(k)] = static_cast<std::int16_t>(i0);
   }
+  return table;
+}
+
+/// The shared fast-bin table of a binning, built on first use and kept
+/// for the life of the process.
+std::shared_ptr<const std::vector<std::int16_t>> shared_fast_bins(
+    double lo, double hi, std::size_t bins, double log_lo,
+    double inv_log_width) {
+  using Key = std::tuple<double, double, std::size_t>;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const std::vector<std::int16_t>>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& table = cache[{lo, hi, bins}];
+  if (!table) {
+    table = std::make_shared<const std::vector<std::int16_t>>(
+        build_fast_bins(lo, hi, bins, log_lo, inv_log_width));
+  }
+  return table;
+}
+
+}  // namespace
+
+Histogram::Histogram(double lo, double hi, std::size_t bins)
+    : lo_(lo), hi_(hi) {
+  check(lo > 0.0 && hi > lo, "Histogram requires 0 < lo < hi");
+  check(bins >= 1, "Histogram requires at least one bin");
+  log_lo_ = std::log(lo);
+  inv_log_width_ = static_cast<double>(bins) / (std::log(hi) - log_lo_);
+  counts_.assign(bins, 0);
+  min_ = std::numeric_limits<double>::infinity();
+  max_ = -std::numeric_limits<double>::infinity();
+  fast_table_ = shared_fast_bins(lo, hi, bins, log_lo_, inv_log_width_);
+  fast_bin_ = fast_table_->data();
+  fast_size_ = fast_table_->size();
+  fast_key_lo_ = fast_key_of(lo);
 }
 
 void Histogram::record(double x) {
@@ -69,9 +100,8 @@ void Histogram::record(double x) {
   max_ = std::max(max_, x);
   // Fast path: direct table lookup on the sample's top bits. Negative,
   // zero, and out-of-range samples miss the key window and fall through.
-  const std::uint64_t off = (std::bit_cast<std::uint64_t>(x) >> 46) -
-                            fast_key_lo_;
-  if (off < fast_bin_.size()) {
+  const std::uint64_t off = fast_key_of(x) - fast_key_lo_;
+  if (off < fast_size_) {
     const std::int16_t b = fast_bin_[static_cast<std::size_t>(off)];
     if (b >= 0) {
       ++counts_[static_cast<std::size_t>(b)];
@@ -95,9 +125,8 @@ void Histogram::record_n(double x, std::uint64_t n) {
   sum_ += x * static_cast<double>(n);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-  const std::uint64_t off = (std::bit_cast<std::uint64_t>(x) >> 46) -
-                            fast_key_lo_;
-  if (off < fast_bin_.size()) {
+  const std::uint64_t off = fast_key_of(x) - fast_key_lo_;
+  if (off < fast_size_) {
     const std::int16_t b = fast_bin_[static_cast<std::size_t>(off)];
     if (b >= 0) {
       counts_[static_cast<std::size_t>(b)] += n;

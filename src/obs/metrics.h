@@ -101,9 +101,6 @@ class Histogram {
   std::uint64_t overflow() const { return overflow_; }
 
  private:
-  /// Precomputes fast_bin_ (see below). Called once from the ctor.
-  void build_fast_bins();
-
   double lo_;
   double hi_;
   double log_lo_;
@@ -114,8 +111,13 @@ class Histogram {
   // in the cell provably maps to that bin under the exact log-based
   // expression record() uses (endpoints agree and sit away from bin
   // boundaries), or -1 to take the slow path — so the fast path changes
-  // which instructions run, never which bin a sample lands in.
-  std::vector<std::int16_t> fast_bin_;
+  // which instructions run, never which bin a sample lands in. The
+  // table is a pure function of (lo, hi, bins), so histograms with the
+  // same binning share one immutable copy (a city registers thousands
+  // of per-flow histograms, ~3 KB of table each).
+  std::shared_ptr<const std::vector<std::int16_t>> fast_table_;
+  const std::int16_t* fast_bin_ = nullptr;  // fast_table_->data()
+  std::size_t fast_size_ = 0;
   std::uint64_t fast_key_lo_ = 0;
   std::vector<std::uint64_t> counts_;
   std::uint64_t underflow_ = 0;

@@ -38,6 +38,13 @@ const JsonValue* find_report(const JsonValue& aggregate, const std::string& id,
   return first_with_id;
 }
 
+/// `kernel_share.*` metrics are kernel seconds per wall second: they move
+/// with host load, lane count and the bench's other flags, not with
+/// behaviour, so a baseline does not pin them.
+bool is_wall_clock_share(const std::string& name) {
+  return name.starts_with("kernel_share.");
+}
+
 const char* status_name(MetricDiff::Status s) {
   switch (s) {
     case MetricDiff::Status::kOk: return "ok";
@@ -82,6 +89,7 @@ std::string make_baseline_json(const JsonValue& aggregate, double rel_tol,
         << "\",\n   \"metrics\":[";
     bool first_metric = true;
     for (const auto& [name, value] : report.at("metrics").members()) {
+      if (is_wall_clock_share(name)) continue;
       if (!first_metric) out << ',';
       first_metric = false;
       out << "\n    {\"name\":\"" << json_escape(name) << "\",\"value\":";

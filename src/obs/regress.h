@@ -73,7 +73,8 @@ struct DiffResult {
 
 /// Renders an aggregate report ("holtwlan-bench-aggregate-v1") into a
 /// fresh baseline document pinning every scalar metric at its current
-/// value under the given default tolerances.
+/// value under the given default tolerances — except the wall-clock
+/// `kernel_share.*` ratios, which the diff then lists as unpinned.
 std::string make_baseline_json(const JsonValue& aggregate, double rel_tol,
                                double abs_tol);
 

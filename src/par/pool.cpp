@@ -272,11 +272,14 @@ bool ThreadPool::try_run_one(unsigned home_lane) {
   if (!task) return false;
   if (telem) {
     LaneStats& s = stats_slot(home_lane);
+    // Count the task before running it: a parallel_for chunk publishes
+    // its completion from inside task(), so a count taken afterwards
+    // could still be missing when the caller returns and reads it.
+    s.tasks.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t t0 = detail::monotonic_ns();
     task();
     s.busy_ns.fetch_add(detail::monotonic_ns() - t0,
                         std::memory_order_relaxed);
-    s.tasks.fetch_add(1, std::memory_order_relaxed);
   } else {
     task();
   }

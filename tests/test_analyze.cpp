@@ -442,6 +442,25 @@ TEST(BenchDiff, BaselineRoundTripIsClean) {
   EXPECT_EQ(r.compared, 3u);  // NaN pins NaN ("no crossing" stays none)
 }
 
+// Kernel shares are wall-clock ratios: a baseline leaves them unpinned,
+// so a run that reads a very different share still passes the gate.
+TEST(BenchDiff, BaselineLeavesKernelSharesUnpinned) {
+  const JsonValue agg = JsonValue::parse(
+      R"({"schema":"holtwlan-bench-aggregate-v1","reports":[
+           {"id":"C2","verdict":"REPRODUCED",
+            "metrics":{"gain_db":10.4,"kernel_share.fft":0.02}}]})");
+  const std::string base_json = make_baseline_json(agg, 0.25, 1e-9);
+  EXPECT_EQ(base_json.find("kernel_share"), std::string::npos);
+  const JsonValue noisy = JsonValue::parse(
+      R"({"schema":"holtwlan-bench-aggregate-v1","reports":[
+           {"id":"C2","verdict":"REPRODUCED",
+            "metrics":{"gain_db":10.4,"kernel_share.fft":0.08}}]})");
+  const DiffResult r =
+      diff_against_baseline(noisy, JsonValue::parse(base_json), false);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.compared, 1u);
+}
+
 TEST(BenchDiff, FailsOnPerturbedMetric) {
   const JsonValue base = JsonValue::parse(
       make_baseline_json(JsonValue::parse(kAggregate), 0.25, 1e-9));

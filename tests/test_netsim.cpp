@@ -6,6 +6,8 @@
 #include "core/link.h"
 #include "mac/bianchi.h"
 #include "net/netsim.h"
+#include "net/shard.h"
+#include "obs/perf.h"
 
 namespace wlan::net {
 namespace {
@@ -444,6 +446,34 @@ TEST(NetSimPerModel, ArfValidation) {
   odd.data_rate_mbps = 17.0;
   EXPECT_THROW(simulate_network(odd, pair_topology(10.0), {{0, 1}}, rng),
                ContractError);
+}
+
+// Every simulate call builds one fading pool, profiled as its own row
+// under net.setup; a threshold-model call builds none.
+TEST(NetSimPerModel, ProfileShowsOneFadingPoolPerCall) {
+  const auto pool_rows = [](const NetworkConfig& cfg, bool sharded) {
+    obs::perf::SpanProfile profile;
+    obs::perf::enable_span_profiling(profile);
+    const auto setup = make_hidden_terminal_setup(100.0);
+    Rng rng(49);
+    if (sharded) {
+      simulate_network_sharded(cfg, setup.nodes, setup.flows, ShardOptions{},
+                               rng);
+    } else {
+      simulate_network(cfg, setup.nodes, setup.flows, rng);
+    }
+    obs::perf::disable_span_profiling();
+    const auto rows = profile.spans();
+    const auto it = rows.find("net.setup;net.fading_pool");
+    return it == rows.end() ? std::uint64_t{0} : it->second.calls;
+  };
+  NetworkConfig cfg = per_model_config();
+  cfg.duration_s = 0.01;
+  EXPECT_EQ(pool_rows(cfg, false), 1u);
+  EXPECT_EQ(pool_rows(cfg, true), 1u);
+  cfg.error_model.model = RxModel::kSinrThreshold;
+  EXPECT_EQ(pool_rows(cfg, false), 0u);
+  EXPECT_EQ(pool_rows(cfg, true), 0u);
 }
 
 TEST(NetSim, Validation) {

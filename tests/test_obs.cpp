@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -154,6 +155,36 @@ TEST(Histogram, RecordLandsInTheRightBin) {
   EXPECT_EQ(h.bin_count(1), 1u);
   h.record(50.0);  // decade [10, 100) -> bin 3
   EXPECT_EQ(h.bin_count(3), 1u);
+}
+
+// Histograms of one binning share one fast-bin table. A copy keeps
+// binning correctly after its original is gone, and another binning
+// gets its own table.
+TEST(Histogram, SharedFastTableSurvivesItsFirstOwner) {
+  std::optional<obs::Histogram> copy;
+  {
+    const obs::Histogram original(1e-6, 100.0, 64);
+    copy.emplace(original);
+  }
+  obs::Histogram same(1e-6, 100.0, 64);
+  obs::Histogram coarse(1e-6, 100.0, 8);
+  Rng rng(3);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = std::pow(10.0, rng.uniform(-7.0, 3.0));
+    copy->record(x);
+    same.record(x);
+    coarse.record(x);
+  }
+  for (std::size_t b = 0; b < same.bins(); ++b)
+    EXPECT_EQ(copy->bin_count(b), same.bin_count(b)) << b;
+  EXPECT_EQ(copy->underflow(), same.underflow());
+  EXPECT_EQ(copy->overflow(), same.overflow());
+  std::uint64_t coarse_total = coarse.underflow() + coarse.overflow();
+  for (std::size_t b = 0; b < coarse.bins(); ++b) {
+    EXPECT_GT(coarse.bin_count(b), 0u) << b;
+    coarse_total += coarse.bin_count(b);
+  }
+  EXPECT_EQ(coarse_total, 20000u);
 }
 
 TEST(Histogram, PercentilesClampToObservedExtremes) {

@@ -260,8 +260,8 @@ TEST(NetsimBatch, ResultsAndMergedRegistryIdenticalAcrossThreadCounts) {
 }
 
 TEST(NetsimBatch, PerModelResultsIdenticalAcrossThreadCounts) {
-  // The PER error model adds RNG consumers (shadowing, fading
-  // dictionaries, per-frame reception draws): every draw must come from
+  // The PER error model adds RNG consumers (shadowing, fading-pool
+  // indices, per-frame reception draws): every draw must come from
   // the run's own stream so the batch stays bitwise schedule-independent.
   const auto setup = net::make_hidden_terminal_setup(150.0);
   net::NetworkConfig cfg;

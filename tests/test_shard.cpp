@@ -274,9 +274,9 @@ TEST(ShardEquivalence, MultiShardRunIsThreadCountInvariant) {
   EXPECT_EQ(r8.lifecycle.breaches, 0u);
 }
 
-TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubset) {
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.2;
+/// Shard 0 of a two-cell component run against a monolithic run of its
+/// members alone under the same derived Rng: bitwise equal per flow.
+void expect_shard_zero_matches_monolith(const net::NetworkConfig& cfg) {
   const Deployment d = two_cells(cfg);
   const std::size_t cell_nodes = 7;
   const std::size_t cell_flows = 6;
@@ -303,6 +303,25 @@ TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubset) {
     EXPECT_EQ(sharded.flows[f].attempts, mono.flows[f].attempts);
     EXPECT_EQ(sharded.flows[f].throughput_mbps, mono.flows[f].throughput_mbps);
   }
+}
+
+TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubset) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.2;
+  expect_shard_zero_matches_monolith(cfg);
+}
+
+// The fading pool is a function of the config alone, so the PER model
+// keeps the contract: the sweep's pool and the subset monolith's pool
+// hold the same realizations, and each engine draws its link indices
+// from the same derived stream.
+TEST(ShardEquivalence, ShardZeroMatchesMonolithOfItsSubsetPerModel) {
+  net::NetworkConfig cfg;
+  cfg.duration_s = 0.2;
+  cfg.error_model.model = net::RxModel::kPerModel;
+  cfg.error_model.shadowing_sigma_db = 4.0;
+  cfg.error_model.realizations = 8;
+  expect_shard_zero_matches_monolith(cfg);
 }
 
 TEST(ShardEquivalence, CrossShardFlowThrows) {
