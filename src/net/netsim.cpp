@@ -89,19 +89,6 @@ struct BorderMsg {
   double nav_until_s = 0.0;
 };
 
-/// How an Engine participates in border exchange (all defaults = the
-/// legacy component-sharded behavior, untouched).
-struct BorderMode {
-  bool enabled = false;  ///< delayed cross-tile influence semantics
-  bool fused = false;    ///< one engine simulates every tile (reference)
-  double delay_s = 0.0;  ///< = ShardPlan::lookahead_s
-  /// Root for the per-entity RNG streams border mode uses instead of
-  /// the shared sequential Rng (per-node MAC backoff, per-node
-  /// reception, per-flow arrivals/fading, per-pair shadowing) so fused
-  /// and per-tile runs consume identical randomness.
-  std::uint64_t root_seed = 0;
-};
-
 /// Subtracts an interferer's power from a running sum. Incremental
 /// add/subtract leaves rounding residues, so the result can dip below
 /// zero legitimately — but only by an amount set by machine epsilon and
@@ -166,7 +153,7 @@ std::vector<PerTableKey> per_table_keys(const NetworkConfig& config) {
 /// striding over cold per-station protocol state.
 class Engine {
  public:
-  /// A pending remote-influence record (border mode). Declared up top so
+  /// A pending cross-tile influence record. Declared up top so
   /// member-function parameter lists can name it.
   struct InfluenceRec {
     std::uint32_t origin;     // global node id of the transmitter
@@ -175,27 +162,31 @@ class Engine {
     double nav_until_s;       // end records carry the duration promise
   };
 
+  /// Simulates shard `shard` of `plan`, or every node when `shard` is
+  /// kNone (the one-engine reference). All randomness comes from
+  /// per-entity streams derived from `root` and keyed by global ids —
+  /// per-node MAC backoff (1) and reception (2), per-flow arrivals (3)
+  /// and fading-pool indices (5), per-pair shadowing (4) — so the draw
+  /// sequence does not depend on how the nodes are split into engines.
   Engine(const NetworkConfig& config, const std::vector<NodeConfig>& nodes,
          const std::vector<Flow>& flows, const ShardPlan& plan,
-         std::size_t shard, Rng& rng, const FadingPool* pool,
-         obs::Registry* registry, obs::TraceSink* trace,
-         std::uint64_t frame_id_base, const BorderMode& border = {})
+         std::size_t shard, std::uint64_t root, const FadingPool* pool,
+         obs::Registry* registry, obs::TraceSink* trace)
       : config_(config),
-        rng_(rng),
-        frame_id_base_(frame_id_base),
-        border_(border) {
+        // Disjoint frame ids per shard in a merged trace.
+        frame_id_base_(shard == kNone ? 0 : std::uint64_t{shard} << 40),
+        fused_(shard == kNone),
+        delay_s_(plan.lookahead_s) {
     timing_ = mac::mac_timing(config.generation);
     per_model_ = config.error_model.model == RxModel::kPerModel;
     n_tiles_ = plan.shards.size();
-    // The fused border reference simulates every tile in one engine;
-    // everything else runs the members of its own shard.
     std::vector<std::uint32_t> fused_members;
-    if (border_.enabled && border_.fused) {
+    if (fused_) {
       fused_members.resize(nodes.size());
       std::iota(fused_members.begin(), fused_members.end(), 0u);
     }
     const std::vector<std::uint32_t>& members =
-        border_.enabled && border_.fused ? fused_members : plan.shards[shard];
+        fused_ ? fused_members : plan.shards[shard];
     n_ = members.size();
     node_id_.assign(members.begin(), members.end());
     std::vector<std::uint32_t> g2l(nodes.size(), kNil);
@@ -211,133 +202,82 @@ class Engine {
       cs_w_[l] = dbm_to_watt(node.cs_threshold_dbm);
     }
 
-    if (!border_.enabled) {
-      // Neighbor CSR restricted to the shard, with deterministic
-      // received powers per edge — the sparse replacement for the dense
-      // gain matrix. A member's plan row stays inside the component by
-      // definition, so every neighbor has a local index.
-      row_off_.assign(n_ + 1, 0);
-      std::size_t edges = 0;
-      for (std::size_t l = 0; l < n_; ++l) {
-        row_off_[l] = edges;
-        edges += plan.degree(node_id_[l]);
-      }
-      row_off_[n_] = edges;
-      row_nbr_.resize(edges);
-      row_gain_.resize(edges);
-      for (std::size_t l = 0; l < n_; ++l) {
-        const std::size_t g = node_id_[l];
-        std::size_t out = row_off_[l];
-        for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
-             ++e, ++out) {
-          const std::uint32_t nbr_g = plan.nbr[e];
+    // Neighbor CSR with deterministic received powers per edge — the
+    // sparse replacement for the dense gain matrix. It keeps only
+    // same-shard edges, so rx_power_w is exactly zero across tiles;
+    // cross-tile power arrives solely through delayed influence
+    // records, built from the cross tables below. A component plan has
+    // no cross-tile edges, so its tables stay empty. Shadowing factors
+    // come from per-pair streams keyed by global ids (large-scale
+    // fading is reciprocal), so every engine layout computes the
+    // identical factor.
+    const std::uint64_t shadow_root = par::derive_seed(root, 4, 0);
+    const bool shadowed =
+        per_model_ && config.error_model.shadowing_sigma_db > 0.0;
+    auto pair_factor = [&](std::uint32_t a, std::uint32_t b) {
+      if (!shadowed) return 1.0;
+      if (b < a) std::swap(a, b);
+      Rng pr(par::derive_seed(shadow_root, a, b));
+      return db_to_lin(
+          -pr.gaussian(0.0, config.error_model.shadowing_sigma_db));
+    };
+    auto gain_w = [&](std::uint32_t from_g, std::uint32_t to_g) {
+      const double d = std::max(
+          mesh::distance(nodes[from_g].position, nodes[to_g].position), 0.5);
+      return dbm_to_watt(nodes[from_g].tx_power_dbm -
+                         config.pathloss.path_loss_db(d)) *
+             pair_factor(from_g, to_g);
+    };
+    row_off_.assign(n_ + 1, 0);
+    out_off_.assign(n_ + 1, 0);
+    std::unordered_map<std::uint64_t,
+                       std::vector<std::pair<std::uint32_t, double>>>
+        inbound_rows;
+    std::vector<std::uint32_t> out_scratch;
+    for (std::size_t l = 0; l < n_; ++l) {
+      row_off_[l] = row_nbr_.size();
+      out_off_[l] = out_tile_.size();
+      const std::size_t g = node_id_[l];
+      const std::uint32_t my_tile = plan.shard_of[g];
+      out_scratch.clear();
+      for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
+           ++e) {
+        const std::uint32_t nbr_g = plan.nbr[e];
+        const std::uint32_t nbr_tile = plan.shard_of[nbr_g];
+        if (nbr_tile == my_tile) {
           const std::uint32_t nbr_l = g2l[nbr_g];
-          check(nbr_l != kNil, "shard plan row escapes its component");
-          row_nbr_[out] = nbr_l;
-          const double d = std::max(
-              mesh::distance(nodes[g].position, nodes[nbr_g].position), 0.5);
-          row_gain_[out] = dbm_to_watt(nodes[g].tx_power_dbm -
-                                       config.pathloss.path_loss_db(d));
+          check(nbr_l != kNil, "same-tile neighbor missing locally");
+          row_nbr_.push_back(nbr_l);
+          row_gain_.push_back(gain_w(static_cast<std::uint32_t>(g), nbr_g));
+        } else {
+          // Outbound: l's transmissions influence nbr_tile. Inbound:
+          // nbr_g's transmissions deposit power at l (ascending l per
+          // origin because the outer loop ascends).
+          out_scratch.push_back(nbr_tile);
+          inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ +
+                       my_tile]
+              .emplace_back(static_cast<std::uint32_t>(l),
+                            gain_w(nbr_g, static_cast<std::uint32_t>(g)));
         }
       }
-      if (per_model_ && config.error_model.shadowing_sigma_db > 0.0) {
-        // Log-normal shadowing: one draw per coupled unordered pair, in
-        // ascending (i, j) order, applied to both directions (large-scale
-        // fading is reciprocal). On the unbounded plan every pair is
-        // coupled, so this is the legacy all-pairs draw sequence.
-        for (std::size_t l = 0; l < n_; ++l) {
-          for (std::size_t e = row_off_[l]; e < row_off_[l + 1]; ++e) {
-            const std::uint32_t m = row_nbr_[e];
-            if (m <= l) continue;
-            const double f = db_to_lin(
-                -rng.gaussian(0.0, config.error_model.shadowing_sigma_db));
-            row_gain_[e] *= f;
-            row_gain_[edge_index(m, static_cast<std::uint32_t>(l))] *= f;
-          }
-        }
-      }
-    } else {
-      // Border mode: the local CSR keeps only same-tile edges, so
-      // rx_power_w is exactly zero across tiles in every engine —
-      // cross-tile power arrives solely through delayed influence
-      // records, built from the cross tables below. Shadowing factors
-      // come from per-pair derived streams (keyed by global ids) so the
-      // fused reference and every per-tile engine compute the identical
-      // factor without a shared draw sequence.
-      const std::uint64_t shadow_root =
-          par::derive_seed(border_.root_seed, 4, 0);
-      const bool shadowed =
-          per_model_ && config.error_model.shadowing_sigma_db > 0.0;
-      auto pair_factor = [&](std::uint32_t a, std::uint32_t b) {
-        if (!shadowed) return 1.0;
-        if (b < a) std::swap(a, b);
-        Rng pr(par::derive_seed(shadow_root, a, b));
-        return db_to_lin(
-            -pr.gaussian(0.0, config.error_model.shadowing_sigma_db));
-      };
-      auto gain_w = [&](std::uint32_t from_g, std::uint32_t to_g) {
-        const double d = std::max(
-            mesh::distance(nodes[from_g].position, nodes[to_g].position),
-            0.5);
-        return dbm_to_watt(nodes[from_g].tx_power_dbm -
-                           config.pathloss.path_loss_db(d)) *
-               pair_factor(from_g, to_g);
-      };
-      row_off_.assign(n_ + 1, 0);
-      out_off_.assign(n_ + 1, 0);
-      std::unordered_map<std::uint64_t,
-                         std::vector<std::pair<std::uint32_t, double>>>
-          inbound_rows;
-      std::vector<std::uint32_t> out_scratch;
-      for (std::size_t l = 0; l < n_; ++l) {
-        row_off_[l] = row_nbr_.size();
-        out_off_[l] = out_tile_.size();
-        const std::size_t g = node_id_[l];
-        const std::uint32_t my_tile = plan.shard_of[g];
-        out_scratch.clear();
-        for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
-             ++e) {
-          const std::uint32_t nbr_g = plan.nbr[e];
-          const std::uint32_t nbr_tile = plan.shard_of[nbr_g];
-          if (nbr_tile == my_tile) {
-            const std::uint32_t nbr_l = g2l[nbr_g];
-            check(nbr_l != kNil, "same-tile neighbor missing locally");
-            row_nbr_.push_back(nbr_l);
-            row_gain_.push_back(gain_w(static_cast<std::uint32_t>(g), nbr_g));
-          } else {
-            // Outbound: l's transmissions influence nbr_tile. Inbound:
-            // nbr_g's transmissions deposit power at l (ascending l per
-            // origin because the outer loop ascends).
-            out_scratch.push_back(nbr_tile);
-            inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ +
-                         my_tile]
-                .emplace_back(static_cast<std::uint32_t>(l),
-                              gain_w(nbr_g, static_cast<std::uint32_t>(g)));
-          }
-        }
-        std::sort(out_scratch.begin(), out_scratch.end());
-        out_scratch.erase(
-            std::unique(out_scratch.begin(), out_scratch.end()),
-            out_scratch.end());
-        out_tile_.insert(out_tile_.end(), out_scratch.begin(),
-                         out_scratch.end());
-      }
-      row_off_[n_] = row_nbr_.size();
-      out_off_[n_] = out_tile_.size();
-      inbound_flat_.reserve(inbound_rows.size());
-      for (auto& [key, row] : inbound_rows) {
-        inbound_[key] = Span{inbound_flat_.size(), row.size()};
-        inbound_flat_.insert(inbound_flat_.end(), row.begin(), row.end());
-      }
-      // Per-node RNG streams, keyed by global id (see BorderMode).
-      mac_rng_.reserve(n_);
-      rx_rng_.reserve(n_);
-      for (std::size_t l = 0; l < n_; ++l) {
-        mac_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 1, node_id_[l]));
-        rx_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 2, node_id_[l]));
-      }
+      std::sort(out_scratch.begin(), out_scratch.end());
+      out_scratch.erase(std::unique(out_scratch.begin(), out_scratch.end()),
+                        out_scratch.end());
+      out_tile_.insert(out_tile_.end(), out_scratch.begin(),
+                       out_scratch.end());
+    }
+    row_off_[n_] = row_nbr_.size();
+    out_off_[n_] = out_tile_.size();
+    inbound_flat_.reserve(inbound_rows.size());
+    for (auto& [key, row] : inbound_rows) {
+      inbound_[key] = Span{inbound_flat_.size(), row.size()};
+      inbound_flat_.insert(inbound_flat_.end(), row.begin(), row.end());
+    }
+    mac_rng_.reserve(n_);
+    rx_rng_.reserve(n_);
+    for (std::size_t l = 0; l < n_; ++l) {
+      mac_rng_.emplace_back(par::derive_seed(root, 1, node_id_[l]));
+      rx_rng_.emplace_back(par::derive_seed(root, 2, node_id_[l]));
     }
 
     // Station state (SoA) and the shard's flows, ascending by global
@@ -381,13 +321,9 @@ class Engine {
     }
     n_flows_ = flow_id_.size();
     result_.flows.resize(n_flows_);
-    if (border_.enabled) {
-      arrival_rng_.reserve(n_flows_);
-      for (std::size_t f = 0; f < n_flows_; ++f) {
-        arrival_rng_.emplace_back(
-            par::derive_seed(border_.root_seed, 3, flow_id_[f]));
-      }
-    }
+    arrival_rng_.reserve(n_flows_);
+    for (std::size_t f = 0; f < n_flows_; ++f)
+      arrival_rng_.emplace_back(par::derive_seed(root, 3, flow_id_[f]));
 
     // All counters live in a metrics registry (the caller's, if given);
     // NetworkResult is populated from it after the run. Per-flow labels
@@ -426,7 +362,7 @@ class Engine {
         auc.flight_recorder_capacity =
             config.lifecycle.flight_recorder_capacity;
         auc.dump_path = config.lifecycle.flight_recorder_path;
-        if (!auc.dump_path.empty() && plan.shards.size() > 1)
+        if (!auc.dump_path.empty() && !fused_ && plan.shards.size() > 1)
           auc.dump_path += ".shard" + std::to_string(shard);
         auditor_ = std::make_unique<obs::InvariantAuditor>(auc);
         // Created up front so every shard registry has the same entries.
@@ -439,7 +375,7 @@ class Engine {
     rts_tx_ = &registry_->counter("net.rts_tx");
     rts_failures_ = &registry_->counter("net.rts_failures");
     simultaneous_starts_ = &registry_->counter("net.simultaneous_starts");
-    if (border_.enabled) {
+    if (plan.border) {
       // One count per (transmission, influenced tile); emitted at the
       // same TX-start instants in fused and per-tile runs, so totals
       // agree across modes and snapshots agree across --jobs.
@@ -481,24 +417,17 @@ class Engine {
                                      config.basic_rate_mbps);
 
     // PER-model links: each flow draws its realization indices into the
-    // call's shared pool, in flow order (then data rates, RTS, CTS/ACK),
-    // so a seeded run is a pure function of its Rng and the config.
+    // call's shared pool from its own stream (data rates, then RTS, then
+    // CTS/ACK), so every engine layout picks identical realizations.
     rate_stats_.resize(n_flows_);
     if (per_model_) {
       check(pool != nullptr, "the PER model needs the call's fading pool");
       const std::vector<PerTableKey> keys = per_table_keys(config);
       const std::size_t n_rates = data_rates_.size();
       models_.reserve(n_flows_);
-      const std::uint64_t flow_root =
-          border_.enabled ? par::derive_seed(border_.root_seed, 5, 0) : 0;
+      const std::uint64_t flow_root = par::derive_seed(root, 5, 0);
       for (std::size_t f = 0; f < n_flows_; ++f) {
-        // Border mode draws each flow's indices from a per-flow derived
-        // stream (keyed by global flow id) so fused and per-tile engines
-        // pick identical realizations.
-        std::optional<Rng> flow_rng;
-        if (border_.enabled)
-          flow_rng.emplace(par::derive_seed(flow_root, flow_id_[f], 0));
-        Rng& mrng = border_.enabled ? *flow_rng : rng_;
+        Rng mrng(par::derive_seed(flow_root, flow_id_[f], 0));
         FlowErrorModels m;
         m.data.reserve(n_rates);
         for (std::size_t r = 0; r < n_rates; ++r)
@@ -515,17 +444,7 @@ class Engine {
   /// Global node index per local node (ascending).
   const std::vector<std::size_t>& node_ids() const { return node_id_; }
 
-  NetworkResult run() {
-    {
-      const obs::perf::ScopedSpan span("net.events");
-      start();
-      sched_.run_until(config_.duration_s);
-    }
-    return finalize();
-  }
-
-  // ---- epoch-driver surface (the lockstep border driver calls these;
-  // run() composes the same phases for every single-engine mode) ----
+  // ---- driver surface (run_plan composes these phases for every plan) ----
 
   /// Seeds arrivals and initial countdowns without running the clock.
   void start() {
@@ -554,15 +473,14 @@ class Engine {
   /// after the next epoch boundary by the lookahead's power-of-two
   /// rounding guarantee, so they are always in this engine's future.
   void inject_border(const BorderMsg& msg) {
-    add_influence(msg.start_s + border_.delay_s,
+    add_influence(msg.start_s + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 0, 0.0});
-    add_influence((msg.start_s + msg.duration_s) + border_.delay_s,
+    add_influence((msg.start_s + msg.duration_s) + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 1,
                                msg.nav_until_s});
   }
 
   NetworkResult finalize() {
-    const obs::perf::ScopedSpan span("net.finalize");
     // Populate the result struct from the registry.
     result_.data_tx_count = data_tx_->value();
     result_.data_failures = data_failures_->value();
@@ -642,21 +560,8 @@ class Engine {
     if (auditor_) auditor_->record(e);
   }
 
-  // Border mode replaces the single sequential Rng with per-entity
-  // streams so the draw sequence does not depend on how nodes are split
-  // into engines; legacy modes keep the shared rng_ untouched.
-  Rng& mac_stream(std::size_t n) {
-    return border_.enabled ? mac_rng_[n] : rng_;
-  }
-  Rng& rx_stream(std::size_t n) {
-    return border_.enabled ? rx_rng_[n] : rng_;
-  }
-  Rng& arrival_stream(std::size_t n) {
-    return border_.enabled ? arrival_rng_[flow_of_[n]] : rng_;
-  }
-
   unsigned draw_backoff(std::size_t n) {
-    return static_cast<unsigned>(mac_stream(n).uniform_int(cw_[n] + 1));
+    return static_cast<unsigned>(mac_rng_[n].uniform_int(cw_[n] + 1));
   }
 
   /// Data-frame airtime at station `n`'s current rate.
@@ -735,7 +640,7 @@ class Engine {
   }
 
   void schedule_arrival(std::size_t n, double rate_pps) {
-    sched_.schedule(arrival_stream(n).exponential(1.0 / rate_pps),
+    sched_.schedule(arrival_rng_[flow_of_[n]].exponential(1.0 / rate_pps),
                     [this, n, rate_pps] {
       queue_[n].push_back(sched_.now());
       emit(obs::EventType::kArrival, n, kNone, flow_of_[n],
@@ -842,7 +747,7 @@ class Engine {
     });
   }
 
-  // ---- border influence (border_.enabled only) ----
+  // ---- border influence (cross-tile edges only) ----
 
   /// Queues one influence unit per tile this transmission couples into.
   /// Fused: the start/end records go straight onto the local influence
@@ -858,10 +763,10 @@ class Engine {
     for (std::size_t i = b; i < e; ++i) {
       const std::uint32_t tile = out_tile_[i];
       border_msgs_->add();
-      if (border_.fused) {
-        add_influence(sched_.now() + border_.delay_s,
+      if (fused_) {
+        add_influence(sched_.now() + delay_s_,
                       InfluenceRec{g, tile, 0, 0.0});
-        add_influence(end_s + border_.delay_s,
+        add_influence(end_s + delay_s_,
                       InfluenceRec{g, tile, 1, nav_until_s});
       } else {
         outbox_.push_back(
@@ -1021,7 +926,7 @@ class Engine {
     }
     emit(obs::EventType::kTxStart, n, dest, flow, duration_s,
          frame_name(kind), t.id);
-    if (border_.enabled) queue_influence(n, duration_s, t.end_s, nav_until_s);
+    queue_influence(n, duration_s, t.end_s, nav_until_s);
     const std::size_t id = t.id;
     const std::uint32_t slot = push_active(t);
     // Fold this signal into the running ambient sums of every neighbor
@@ -1094,7 +999,7 @@ class Engine {
           // scaled to this frame type's PSDU size), survive a Bernoulli
           // draw.
           const LinkPerModel& model = model_for(t);
-          Rng& rx_rng = rx_stream(t.dest);
+          Rng& rx_rng = rx_rng_[t.dest];
           const auto realization = static_cast<std::size_t>(
               rx_rng.uniform_int(model.realizations()));
           delivered = !rx_rng.bernoulli(model.per(sinr_db, realization));
@@ -1316,7 +1221,6 @@ class Engine {
   }
 
   NetworkConfig config_;
-  Rng& rng_;
   std::uint64_t frame_id_base_ = 0;
   mac::MacTiming timing_{};
   sim::Scheduler sched_;
@@ -1402,8 +1306,9 @@ class Engine {
   };
   std::vector<RateStats> rate_stats_;
   NetworkResult result_;
-  // ---- border exchange (border_.enabled only; empty otherwise) ----
-  BorderMode border_;
+  // ---- border exchange (empty without cross-tile edges) ----
+  bool fused_ = false;   // one engine simulates every tile (reference)
+  double delay_s_ = 0.0;  // cross-tile influence delay = plan lookahead
   std::size_t n_tiles_ = 0;
   struct Span {
     std::size_t off = 0;
@@ -1420,7 +1325,7 @@ class Engine {
   std::map<double, std::vector<InfluenceRec>> influence_;
   std::vector<BorderMsg> outbox_;
   std::vector<std::uint32_t> affected_;  // apply-time scratch
-  // Per-entity RNG streams (see BorderMode::root_seed).
+  // Per-entity RNG streams (see the constructor).
   std::vector<Rng> mac_rng_;
   std::vector<Rng> rx_rng_;
   std::vector<Rng> arrival_rng_;
@@ -1512,10 +1417,9 @@ struct ShardOutput {
   std::vector<std::size_t> flow_ids;
 };
 
-/// Shard-order assembly shared by the component sweep and the border
-/// driver: scalar sums, global slot placement for per-flow stats,
-/// registry merge (merge order — not thread schedule — defines gauges
-/// and instrument creation order).
+/// Shard-order assembly of a multi-engine run: scalar sums, global
+/// slot placement for per-flow stats, registry merge (merge order — not
+/// thread schedule — defines gauges and instrument creation order).
 NetworkResult merge_shard_outputs(const NetworkConfig& config,
                                   std::size_t n_nodes, std::size_t n_flows,
                                   const std::vector<ShardOutput>& outputs) {
@@ -1568,7 +1472,9 @@ NetworkResult merge_shard_outputs(const NetworkConfig& config,
   return total;
 }
 
-/// Conservative-time lockstep driver over coupled spatial tiles.
+/// The one driver every plan runs through: engines set up on the pool,
+/// conservative-time lockstep rounds, finalize on the pool, merge in
+/// shard order.
 ///
 /// Per-tile engines each simulate their private horizon [t, t+L) — one
 /// parallel_for call per round IS the epoch barrier — then the driver,
@@ -1578,69 +1484,86 @@ NetworkResult merge_shard_outputs(const NetworkConfig& config,
 /// (k+1)*L, so everything a round needs was already routed when it
 /// starts, and the message order seen by any engine is a pure function
 /// of the plan — bitwise identical at any jobs count, and identical to
-/// the fused reference engine that queues the same records locally.
-NetworkResult run_border_exchange(const NetworkConfig& config,
-                                  const std::vector<NodeConfig>& nodes,
-                                  const std::vector<Flow>& flows,
-                                  const ShardPlan& plan,
-                                  const ShardOptions& options,
-                                  std::uint64_t root,
-                                  const FadingPool* fading) {
-  const std::size_t n_tiles = plan.shards.size();
-  const double lookahead = plan.lookahead_s;
-  check(lookahead > 0.0, "border plan carries no lookahead");
+/// the fused reference engine (`fused`) that queues the same records
+/// locally. A plan without cross-tile edges (components, one shard, the
+/// unbounded monolith plan) or a single engine is just one final round
+/// with no messages, whose tasks build, run and finalize their engines.
+NetworkResult run_plan(const NetworkConfig& config,
+                       const std::vector<NodeConfig>& nodes,
+                       const std::vector<Flow>& flows, const ShardPlan& plan,
+                       unsigned jobs, bool fused, std::uint64_t root,
+                       const FadingPool* fading) {
+  const std::size_t n_engines = fused ? 1 : plan.shards.size();
+  const bool single = n_engines == 1;
+  const bool lockstep = !single && plan.border;
+  check(!lockstep || plan.lookahead_s > 0.0,
+        "border plan carries no lookahead");
 
+  // One engine writes straight into the caller's registry and sink;
+  // several get private registries (merged in shard order) and share
+  // one synchronized sink, so the caller's is never raced.
   std::optional<obs::SynchronizedTraceSink> synced;
-  if (config.trace) synced.emplace(*config.trace);
+  if (config.trace && !single) synced.emplace(*config.trace);
+  obs::TraceSink* trace = synced ? &*synced : config.trace;
 
-  par::ThreadPool pool(options.jobs == 0 ? par::default_jobs()
-                                         : options.jobs);
+  par::SweepOptions pool_opt;
+  pool_opt.jobs = single ? 1 : jobs;
+  std::unique_ptr<par::ThreadPool> owned;
+  par::ThreadPool& pool = par::detail::select_pool(pool_opt, owned);
   const unsigned lanes = pool.size();
 
-  BorderMode mode;
-  mode.enabled = true;
-  mode.delay_s = lookahead;
-  mode.root_seed = root;
-
-  // Border engines draw only from derived per-entity streams, so
-  // construction commutes and can run on the pool. The per-engine Rngs
-  // exist only to satisfy the constructor reference; never drawn.
-  std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(n_tiles);
-  for (std::size_t s = 0; s < n_tiles; ++s)
-    shard_rngs.emplace_back(par::derive_seed(root, s, 0));
-  std::vector<ShardOutput> outputs(n_tiles);
-  std::vector<std::unique_ptr<Engine>> engines(n_tiles);
-  const std::uint64_t setup0 = par::detail::monotonic_ns();
-  {
-    const obs::perf::ScopedSpan span("net.setup");
-    pool.parallel_for(n_tiles, 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t s = b; s < e; ++s) {
-        outputs[s].registry = std::make_unique<obs::Registry>();
-        engines[s] = std::make_unique<Engine>(
-            config, nodes, flows, plan, s, shard_rngs[s], fading,
-            outputs[s].registry.get(), synced ? &*synced : nullptr,
-            static_cast<std::uint64_t>(s) << 40, mode);
-      }
+  // Every stream is per-entity, so construction and finalize commute.
+  std::vector<ShardOutput> outputs(n_engines);
+  std::vector<std::unique_ptr<Engine>> engines(n_engines);
+  const auto build = [&](std::size_t s) {
+    obs::Registry* registry = config.registry;
+    if (!single) {
+      outputs[s].registry = std::make_unique<obs::Registry>();
+      registry = outputs[s].registry.get();
+    }
+    engines[s] = std::make_unique<Engine>(config, nodes, flows, plan,
+                                          fused ? kNone : s, root, fading,
+                                          registry, trace);
+    engines[s]->start();
+  };
+  const auto finish = [&](std::size_t s) {
+    outputs[s].result = engines[s]->finalize();
+    outputs[s].node_ids = engines[s]->node_ids();
+    outputs[s].flow_ids = engines[s]->flow_ids();
+    engines[s].reset();
+  };
+  const auto phase = [&](const char* name, const auto& fn) {
+    const obs::perf::ScopedSpan span(name);
+    const std::uint64_t t0 = par::detail::monotonic_ns();
+    pool.parallel_for(n_engines, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t s = b; s < e; ++s) fn(s);
     });
-  }
-  const double setup_s =
-      static_cast<double>(par::detail::monotonic_ns() - setup0) * 1e-9;
+    return static_cast<double>(par::detail::monotonic_ns() - t0) * 1e-9;
+  };
 
+  // Lockstep tiles all live across rounds, so they are built and
+  // finalized in phases of their own. Without lockstep nothing crosses
+  // engines, and the single round builds, runs and finalizes each
+  // engine in one task: only the engines in flight hold memory, not
+  // every shard of a city at once.
+  const double setup_s = lockstep ? phase("net.setup", build) : 0.0;
   par::EpochStats epochs;
-  std::vector<double> busy_s(n_tiles, 0.0);
+  std::vector<double> busy_s(n_engines, 0.0);
   std::uint64_t messages = 0;
-  std::size_t rounds = 0;
   {
     const obs::perf::ScopedSpan span("net.events");
-    for (std::size_t s = 0; s < n_tiles; ++s) engines[s]->start();
+    const double lookahead = plan.lookahead_s;
     // Chunk several tiles per task: thousands of rounds of per-tile
     // dispatch would otherwise eat the speedup in queue traffic.
     const std::size_t chunk =
-        std::max<std::size_t>(1, n_tiles / (8 * static_cast<std::size_t>(
-                                                    std::max(1u, lanes))));
-    const auto n_full = static_cast<std::size_t>(
-        std::floor(config.duration_s / lookahead));
+        lockstep ? std::max<std::size_t>(
+                       1, n_engines / (8 * static_cast<std::size_t>(
+                                               std::max(1u, lanes))))
+                 : 1;
+    const std::size_t n_full =
+        lockstep ? static_cast<std::size_t>(
+                       std::floor(config.duration_s / lookahead))
+                 : 0;
     std::size_t k = 0;
     for (;;) {
       const bool final_round = k >= n_full;
@@ -1648,8 +1571,9 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
                                ? config.duration_s
                                : static_cast<double>(k + 1) * lookahead;
       const std::uint64_t wall0 = par::detail::monotonic_ns();
-      pool.parallel_for(n_tiles, chunk, [&](std::size_t b, std::size_t e) {
+      pool.parallel_for(n_engines, chunk, [&](std::size_t b, std::size_t e) {
         for (std::size_t s = b; s < e; ++s) {
+          if (!lockstep) build(s);
           const std::uint64_t t0 = par::detail::monotonic_ns();
           if (final_round) {
             engines[s]->run_final(bound);
@@ -1658,17 +1582,17 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
           }
           busy_s[s] = static_cast<double>(par::detail::monotonic_ns() - t0) *
                       1e-9;
+          if (!lockstep) finish(s);
         }
       });
       epochs.record_round(
           static_cast<double>(par::detail::monotonic_ns() - wall0) * 1e-9,
-          busy_s.data(), n_tiles);
-      ++rounds;
+          busy_s.data(), n_engines);
       if (final_round) break;
       // Route in ascending tile order, each outbox in generation order:
       // the delivery sequence every engine sees is schedule-independent.
       bool any = false;
-      for (std::size_t s = 0; s < n_tiles; ++s) {
+      for (std::size_t s = 0; s < n_engines; ++s) {
         for (const BorderMsg& msg : engines[s]->outbox()) {
           engines[msg.target_tile]->inject_border(msg);
           ++messages;
@@ -1685,7 +1609,7 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
       // the next epoch that can do work. Messages travel exactly one
       // epoch, so skipping empty ones cannot reorder anything.
       double min_next = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < n_tiles; ++s)
+      for (std::size_t s = 0; s < n_engines; ++s)
         min_next = std::min(min_next, engines[s]->next_time());
       std::size_t k_next = k + 1;
       if (std::isfinite(min_next)) {
@@ -1701,57 +1625,45 @@ NetworkResult run_border_exchange(const NetworkConfig& config,
       k = k_next;
     }
   }
+  const double finalize_s = lockstep ? phase("net.finalize", finish) : 0.0;
 
-  // Finalize commutes: each engine folds only its own state into its
-  // private registry, so the tiles can drain on the pool.
-  const std::uint64_t fin0 = par::detail::monotonic_ns();
-  {
-    const obs::perf::ScopedSpan span("net.finalize");
-    pool.parallel_for(n_tiles, 1, [&](std::size_t b, std::size_t e) {
-      for (std::size_t s = b; s < e; ++s) {
-        outputs[s].result = engines[s]->finalize();
-        outputs[s].node_ids = engines[s]->node_ids();
-        outputs[s].flow_ids = engines[s]->flow_ids();
-        engines[s].reset();
-      }
-    });
-  }
-  const double finalize_s =
-      static_cast<double>(par::detail::monotonic_ns() - fin0) * 1e-9;
   const std::uint64_t merge0 = par::detail::monotonic_ns();
   NetworkResult total =
-      merge_shard_outputs(config, nodes.size(), flows.size(), outputs);
-  total.border.tiles = n_tiles;
-  total.border.epochs = rounds;
-  total.border.messages = messages;
-  total.border.lookahead_s = lookahead;
-  total.border.wall_s = epochs.wall_s;
-  total.border.utilization = epochs.utilization(lanes);
-  total.border.imbalance = epochs.imbalance();
-  total.border.setup_s = setup_s;
-  total.border.busy_s = epochs.busy_s;
-  total.border.critical_path_s = epochs.max_busy_s;
-  total.border.finalize_s = finalize_s;
-  total.border.merge_s =
-      static_cast<double>(par::detail::monotonic_ns() - merge0) * 1e-9;
+      single ? std::move(outputs[0].result)
+             : merge_shard_outputs(config, nodes.size(), flows.size(),
+                                   outputs);
+  if (plan.border) {
+    total.border.tiles = plan.shards.size();
+    total.border.epochs = epochs.rounds;
+    total.border.messages = messages;
+    total.border.lookahead_s = plan.lookahead_s;
+    total.border.wall_s = epochs.wall_s;
+    total.border.utilization = epochs.utilization(lanes);
+    total.border.imbalance = epochs.imbalance();
+    total.border.setup_s = setup_s;
+    total.border.busy_s = epochs.busy_s;
+    total.border.critical_path_s = epochs.max_busy_s;
+    total.border.finalize_s = finalize_s;
+    total.border.merge_s =
+        static_cast<double>(par::detail::monotonic_ns() - merge0) * 1e-9;
+  }
   return total;
 }
 
-/// One engine over every node: the monolithic simulation.
+/// One engine over every node: the monolithic simulation, as the
+/// single round of the unbounded plan.
 NetworkResult run_monolith(const NetworkConfig& config,
                            const std::vector<NodeConfig>& nodes,
-                           const std::vector<Flow>& flows, Rng& rng,
+                           const std::vector<Flow>& flows, std::uint64_t root,
                            const FadingPool* fading) {
-  std::optional<Engine> engine;
+  ShardPlan plan;
   {
-    const obs::perf::ScopedSpan span("net.setup");
+    const obs::perf::ScopedSpan span("net.plan");
     ShardOptions monolithic;
     monolithic.cutoff_margin_db = std::numeric_limits<double>::infinity();
-    const ShardPlan plan = plan_shards(config, nodes, monolithic);
-    engine.emplace(config, nodes, flows, plan, 0, rng, fading,
-                   config.registry, config.trace, 0);
+    plan = plan_shards(config, nodes, monolithic);
   }
-  return engine->run();
+  return run_plan(config, nodes, flows, plan, 1, false, root, fading);
 }
 
 /// The fading pool every engine of one simulate call reads, profiled as
@@ -1772,7 +1684,8 @@ NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<Flow>& flows, Rng& rng) {
   validate_network(nodes, flows);
   const std::optional<FadingPool> fading = call_fading_pool(config, 0);
-  return run_monolith(config, nodes, flows, rng, fading ? &*fading : nullptr);
+  return run_monolith(config, nodes, flows, rng.next_u64(),
+                      fading ? &*fading : nullptr);
 }
 
 NetworkResult simulate_network_sharded(const NetworkConfig& config,
@@ -1787,45 +1700,6 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
     local_plan = plan_shards(config, nodes, options, &flows);
     plan = &local_plan;
   }
-  const std::optional<FadingPool> pool = call_fading_pool(config, options.jobs);
-  const FadingPool* fading = pool ? &*pool : nullptr;
-
-  if (plan->border) {
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      check(plan->shard_of[flows[f].source] ==
-                plan->shard_of[flows[f].destination],
-            "border plan left flow " + std::to_string(f) +
-                " crossing tiles; pass the flows to plan_shards so "
-                "endpoint clusters share a tile");
-    }
-    // The same single draw as the component sweep: both paths consume
-    // one u64 from the caller's rng, so switching modes never shifts
-    // the caller's stream.
-    const std::uint64_t root = rng.next_u64();
-    if (options.border_reference || plan->shards.size() == 1) {
-      // Fused reference: one engine over every tile, same derived
-      // per-entity streams, influence records looped back locally —
-      // the bitwise ground truth for the lockstep exchange.
-      BorderMode mode;
-      mode.enabled = true;
-      mode.fused = true;
-      mode.delay_s = plan->lookahead_s;
-      mode.root_seed = root;
-      std::optional<Engine> engine;
-      {
-        const obs::perf::ScopedSpan span("net.setup");
-        engine.emplace(config, nodes, flows, *plan, 0, rng, fading,
-                       config.registry, config.trace, 0, mode);
-      }
-      NetworkResult result = engine->run();
-      result.border.tiles = plan->shards.size();
-      result.border.lookahead_s = plan->lookahead_s;
-      return result;
-    }
-    return run_border_exchange(config, nodes, flows, *plan, options, root,
-                               fading);
-  }
-
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const Flow& flow = flows[f];
     check(plan->shard_of[flow.source] == plan->shard_of[flow.destination],
@@ -1834,53 +1708,16 @@ NetworkResult simulate_network_sharded(const NetworkConfig& config,
               ") spans shards " +
               std::to_string(plan->shard_of[flow.source]) + " and " +
               std::to_string(plan->shard_of[flow.destination]) +
-              "; component sharding cannot couple them — widen "
-              "cutoff_margin_db or enable ShardOptions::border");
+              (plan->border
+                   ? "; pass the flows to plan_shards so endpoint "
+                     "clusters share a tile"
+                   : "; component sharding cannot couple them — widen "
+                     "cutoff_margin_db or enable ShardOptions::border"));
   }
-
-  const std::size_t n_shards = plan->shards.size();
-  if (n_shards == 1) {
-    // Degenerate plan: run inline on the caller's rng — bitwise the
-    // monolithic simulation.
-    std::optional<Engine> engine;
-    {
-      const obs::perf::ScopedSpan span("net.setup");
-      engine.emplace(config, nodes, flows, *plan, 0, rng, fading,
-                     config.registry, config.trace, 0);
-    }
-    return engine->run();
-  }
-
-  // One synchronized wrapper shared by every shard; the caller's sink is
-  // never touched from two threads at once.
-  std::optional<obs::SynchronizedTraceSink> synced;
-  if (config.trace) synced.emplace(*config.trace);
-
-  // One derived Rng per shard from a single root draw — the sweep is a
-  // pure function of the caller's rng state and the plan, bitwise
-  // identical for any worker count.
-  const std::uint64_t root = rng.next_u64();
-  par::SweepOptions opt;
-  opt.root_seed = root;
-  opt.jobs = options.jobs;
-  std::vector<ShardOutput> outputs =
-      par::map(n_shards, opt, [&](std::size_t s, Rng& shard_rng) {
-        ShardOutput out;
-        out.registry = std::make_unique<obs::Registry>();
-        std::optional<Engine> engine;
-        {
-          const obs::perf::ScopedSpan span("net.setup");
-          engine.emplace(config, nodes, flows, *plan, s, shard_rng, fading,
-                         out.registry.get(), synced ? &*synced : nullptr,
-                         static_cast<std::uint64_t>(s) << 40);
-        }
-        out.result = engine->run();
-        out.node_ids = engine->node_ids();
-        out.flow_ids = engine->flow_ids();
-        return out;
-      });
-
-  return merge_shard_outputs(config, nodes.size(), flows.size(), outputs);
+  const std::optional<FadingPool> pool = call_fading_pool(config, options.jobs);
+  return run_plan(config, nodes, flows, *plan, options.jobs,
+                  options.border_reference, rng.next_u64(),
+                  pool ? &*pool : nullptr);
 }
 
 std::vector<NetworkResult> simulate_network_batch(
@@ -1912,7 +1749,8 @@ std::vector<NetworkResult> simulate_network_batch(
         out.registry = std::make_unique<obs::Registry>();
         run_config.registry = out.registry.get();
         if (synced) run_config.trace = &*synced;
-        out.result = run_monolith(run_config, nodes, flows, run_rng, fading);
+        out.result = run_monolith(run_config, nodes, flows,
+                                  run_rng.next_u64(), fading);
         return out;
       });
 

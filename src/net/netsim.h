@@ -209,6 +209,13 @@ struct NetworkResult {
 };
 
 /// Runs the network. Node indices in flows refer to `nodes`.
+///
+/// Caller-stream contract: the call advances `rng` by exactly one
+/// `next_u64()`, the root of every random stream the run uses. Each
+/// node, flow and node pair draws from `par::derive_seed(root, kind,
+/// global id)`, so the result depends on `rng` only through that one
+/// draw, and `simulate_network_sharded` under the same `rng` state
+/// draws the identical streams for every plan shape.
 NetworkResult simulate_network(const NetworkConfig& config,
                                const std::vector<NodeConfig>& nodes,
                                const std::vector<Flow>& flows, Rng& rng);
@@ -228,7 +235,10 @@ struct BatchOptions {
 };
 
 /// Runs `n_runs` independent replications of the same network on the
-/// worker pool, one derived Rng per run. `config.registry` is ignored
+/// worker pool. Run i is `simulate_network` under
+/// Rng(par::derive_seed(options.root_seed, i, 0)): it draws that Rng's
+/// first `next_u64()` as its root and nothing else (the caller-stream
+/// contract above, per run). `config.registry` is ignored
 /// (each run gets a private registry; see BatchOptions::registry); a
 /// non-null `config.trace` is shared by all runs through a
 /// SynchronizedTraceSink, so events from concurrent runs interleave

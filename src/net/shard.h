@@ -23,8 +23,11 @@
 //  4. Shards. Connected components of the coupling graph. Two nodes in
 //     different components cannot exchange any above-cutoff power, so
 //     each component simulates independently: private event queue,
-//     private Rng (par::derive_seed), private obs::Registry — merged
-//     in shard order, bitwise identically for any worker count.
+//     private obs::Registry — merged in shard order, bitwise
+//     identically for any worker count. Randomness is per entity, not
+//     per shard: every node, flow and pair draws from a stream derived
+//     from one root and keyed by its global id, so a component plan is
+//     a border plan with no cross-tile edges.
 //
 // `cutoff_margin_db = +infinity` disables the cutoff: every pair is
 // coupled, the plan is one shard, and the engine reproduces the
@@ -61,7 +64,8 @@ struct ShardOptions {
   double cutoff_margin_db = 15.0;
   /// Hash-grid cell size in metres; 0 = the cutoff radius.
   double tile_m = 0.0;
-  /// Worker lanes for the shard sweep; 0 = the process default pool.
+  /// Worker lanes for the engines (and the call's fading pool); 0 = the
+  /// process default pool.
   unsigned jobs = 0;
 
   /// Border mode: shard by uniform spatial tiles instead of connected
@@ -75,9 +79,11 @@ struct ShardOptions {
   /// slot time + minimum cross-tile coupled distance. Either way the
   /// value is rounded down to a power of two seconds.
   double border_delay_s = 0.0;
-  /// Run the border semantics on a single fused engine instead of
-  /// per-tile engines (same tile assignment, same RNG streams, same
-  /// delayed influence). The reference for bitwise-equivalence tests.
+  /// Run the plan on one engine over every node instead of one engine
+  /// per shard: same per-entity RNG streams, same CSR, and for a border
+  /// plan the same delayed cross-tile influence, looped back locally.
+  /// Accepts any plan shape; the reference for bitwise-equivalence
+  /// tests.
   bool border_reference = false;
 };
 
@@ -179,18 +185,19 @@ ShardPlan plan_shards(const NetworkConfig& config,
 /// Runs the network sharded: plans (unless `plan` is supplied), checks
 /// every flow's endpoints share a shard (throws ContractError
 /// otherwise — widen `cutoff_margin_db` or enable `options.border`),
-/// then simulates each shard independently on the worker pool under
-/// Rng(par::derive_seed(rng.next_u64(), shard, 0)) with a private
-/// registry, and merges results, registries (into `config.registry`),
-/// airtime and lifecycle books in shard order. A single-shard plan
-/// runs inline on the caller's `rng` and is bitwise identical to
-/// `simulate_network`. Results are bitwise identical for any
-/// `options.jobs`.
+/// then runs one engine per shard on the worker pool, each with a
+/// private registry, and merges results, registries (into
+/// `config.registry`), airtime and lifecycle books in shard order.
+/// Component shards run one round; border tiles run conservative-time
+/// lockstep epochs (see the header comment). A single-shard plan runs
+/// one engine on the caller's registry and sink.
 ///
-/// With `options.border` the shards are coupled spatial tiles run in
-/// conservative-time lockstep epochs (see the header comment); results
-/// are bitwise identical at any `options.jobs` and to the fused
-/// single-engine reference (`options.border_reference`).
+/// Caller-stream contract: every plan shape advances `rng` by exactly
+/// one `next_u64()`, the root of the per-entity streams (see
+/// `simulate_network`). So the unbounded plan is bitwise
+/// `simulate_network`, and every plan is bitwise identical at any
+/// `options.jobs` and to its one-engine reference
+/// (`options.border_reference`).
 NetworkResult simulate_network_sharded(const NetworkConfig& config,
                                        const std::vector<NodeConfig>& nodes,
                                        const std::vector<Flow>& flows,

@@ -17,6 +17,7 @@
 #include "net/netsim.h"
 #include "net/shard.h"
 #include "obs/metrics.h"
+#include "support/plan_shapes.h"
 
 namespace wlan {
 namespace {
@@ -77,30 +78,6 @@ net::ShardOptions bordered(double tile_m, unsigned jobs) {
   return o;
 }
 
-void expect_flows_bitwise(const net::NetworkResult& a,
-                          const net::NetworkResult& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    EXPECT_EQ(a.flows[f].delivered, b.flows[f].delivered) << "flow " << f;
-    EXPECT_EQ(a.flows[f].attempts, b.flows[f].attempts) << "flow " << f;
-    EXPECT_EQ(a.flows[f].retries, b.flows[f].retries) << "flow " << f;
-    EXPECT_EQ(a.flows[f].drops, b.flows[f].drops) << "flow " << f;
-    EXPECT_EQ(a.flows[f].throughput_mbps, b.flows[f].throughput_mbps)
-        << "flow " << f;
-    EXPECT_EQ(a.flows[f].mean_delay_s, b.flows[f].mean_delay_s)
-        << "flow " << f;
-    EXPECT_EQ(a.flows[f].mean_data_rate_mbps, b.flows[f].mean_data_rate_mbps)
-        << "flow " << f;
-  }
-  EXPECT_EQ(a.total_delivered, b.total_delivered);
-  EXPECT_EQ(a.aggregate_throughput_mbps, b.aggregate_throughput_mbps);
-  EXPECT_EQ(a.data_tx_count, b.data_tx_count);
-  EXPECT_EQ(a.data_failures, b.data_failures);
-  EXPECT_EQ(a.rts_tx_count, b.rts_tx_count);
-  EXPECT_EQ(a.rts_failures, b.rts_failures);
-  EXPECT_EQ(a.simultaneous_starts, b.simultaneous_starts);
-}
-
 // --- Planner ---------------------------------------------------------
 
 TEST(BorderPlan, TilesCarryLookaheadAndLoadEstimates) {
@@ -153,57 +130,37 @@ TEST(BorderPlan, NeedsAFiniteTile) {
 // The fused reference runs ONE engine over every tile with the same
 // derived per-entity RNG streams and the same delayed cross-tile
 // influence records, queued locally instead of routed. The lockstep
-// exchange must reproduce it bitwise at any jobs count.
+// exchange must reproduce it bitwise at any jobs count (the plan-shape
+// helper runs jobs 1 and 4 and the reference).
 TEST(BorderEquivalence, FusedMatchesTiledBitwiseOn63NodeGrid) {
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.05;
-  cfg.rts_cts = true;
-  cfg.error_model.model = net::RxModel::kPerModel;
-  cfg.error_model.shadowing_sigma_db = 4.0;
-  cfg.error_model.realizations = 8;
-  cfg.rate_control = net::RateControlMode::kArf;
-  cfg.lifecycle.enabled = true;
+  plan_shapes::Scenario s;
+  s.config.duration_s = 0.05;
+  s.config.rts_cts = true;
+  s.config.error_model.model = net::RxModel::kPerModel;
+  s.config.error_model.shadowing_sigma_db = 4.0;
+  s.config.error_model.realizations = 8;
+  s.config.rate_control = net::RateControlMode::kArf;
   double spacing = 0.0;
-  const Deployment d = multibss63(cfg, &spacing);
+  const Deployment d = multibss63(s.config, &spacing);
+  s.nodes = d.nodes;
+  s.flows = d.flows;
+  s.seed = 11;
+  s.component = false;  // one component: the border shape is the test
+  s.border_tile_m = spacing;
+  const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
 
-  obs::Registry fused_reg;
-  cfg.registry = &fused_reg;
-  net::ShardOptions ref = bordered(spacing, 1);
-  ref.border_reference = true;
-  Rng fused_rng(11);
-  const auto fused =
-      net::simulate_network_sharded(cfg, d.nodes, d.flows, ref, fused_rng);
+  const net::NetworkResult& fused = runs.border.reference.result;
+  const net::NetworkResult& tiled = runs.border.tiled.result;
   ASSERT_GE(fused.border.tiles, 4u);
-  EXPECT_EQ(fused.lifecycle.breaches, 0u);
-
-  std::string tiled_snapshot_jobs1;
-  for (const unsigned jobs : {1u, 8u}) {
-    obs::Registry tiled_reg;
-    cfg.registry = &tiled_reg;
-    Rng rng(11);
-    const auto tiled = net::simulate_network_sharded(
-        cfg, d.nodes, d.flows, bordered(spacing, jobs), rng);
-    expect_flows_bitwise(fused, tiled);
-    EXPECT_EQ(tiled.lifecycle.breaches, 0u);
-    EXPECT_EQ(tiled.border.tiles, fused.border.tiles);
-    EXPECT_EQ(tiled.border.lookahead_s, fused.border.lookahead_s);
-    EXPECT_GT(tiled.border.epochs, 0u);
-    // Emitted border messages are deterministic and identical across
-    // modes (the fused engine counts the records it loops back).
-    const obs::Counter* fused_msgs = fused_reg.find_counter("net.border.msgs");
-    const obs::Counter* tiled_msgs = tiled_reg.find_counter("net.border.msgs");
-    ASSERT_NE(fused_msgs, nullptr);
-    ASSERT_NE(tiled_msgs, nullptr);
-    EXPECT_GT(fused_msgs->value(), 0u);
-    EXPECT_EQ(fused_msgs->value(), tiled_msgs->value());
-    // Registry snapshots are byte-equal across jobs counts (merge order
-    // is shard order, not thread schedule).
-    if (jobs == 1) {
-      tiled_snapshot_jobs1 = tiled_reg.snapshot_json();
-    } else {
-      EXPECT_EQ(tiled_snapshot_jobs1, tiled_reg.snapshot_json());
-    }
-  }
+  EXPECT_EQ(tiled.border.tiles, fused.border.tiles);
+  EXPECT_EQ(tiled.border.lookahead_s, fused.border.lookahead_s);
+  EXPECT_GT(tiled.border.epochs, 0u);
+  // Emitted border messages are deterministic and identical across
+  // modes (the fused engine counts the records it loops back; the
+  // helper compared the counters).
+  EXPECT_GT(tiled.border.messages, 0u);
+  EXPECT_NE(runs.border.reference.snapshot.find("\"net.border.msgs\""),
+            std::string::npos);
 }
 
 TEST(BorderEquivalence, PoissonArrivalsStayThreadCountInvariant) {
@@ -227,7 +184,7 @@ TEST(BorderEquivalence, PoissonArrivalsStayThreadCountInvariant) {
   Rng rng8(3);
   const auto r8 = net::simulate_network_sharded(cfg, d.nodes, d.flows,
                                                 bordered(spacing, 8), rng8);
-  expect_flows_bitwise(r1, r8);
+  plan_shapes::expect_results_bitwise(r1, r8);
   EXPECT_EQ(reg1.snapshot_json(), reg8.snapshot_json());
   EXPECT_GT(r1.border.messages, 0u);
   EXPECT_EQ(r1.border.messages, r8.border.messages);
@@ -251,28 +208,26 @@ Deployment hidden_pairs() {
 }
 
 TEST(BorderEquivalence, HiddenTerminalsAcrossTheBorder) {
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.2;
+  plan_shapes::Scenario s;
+  s.config.duration_s = 0.2;
   const Deployment d = hidden_pairs();
+  s.nodes = d.nodes;
+  s.flows = d.flows;
+  s.seed = 7;
 
   // Tile width 40 m puts {A, rxA} in tile 0 and sender B in tile 2;
   // receiver B (grid tile 1) is clustered with its flow partner.
   const net::ShardOptions opt = bordered(40.0, 8);
-  const net::ShardPlan plan = net::plan_shards(cfg, d.nodes, opt, &d.flows);
+  const net::ShardPlan plan = net::plan_shards(s.config, d.nodes, opt, &d.flows);
   ASSERT_EQ(plan.shards.size(), 2u);
   EXPECT_EQ(plan.shard_of[0], plan.shard_of[2]);
   EXPECT_EQ(plan.shard_of[1], plan.shard_of[3]);
   EXPECT_NE(plan.shard_of[0], plan.shard_of[1]);
 
-  net::ShardOptions ref = opt;
-  ref.border_reference = true;
-  Rng fused_rng(7);
-  const auto fused = net::simulate_network_sharded(cfg, d.nodes, d.flows,
-                                                   ref, fused_rng);
-  Rng tiled_rng(7);
-  const auto tiled = net::simulate_network_sharded(cfg, d.nodes, d.flows,
-                                                   opt, tiled_rng);
-  expect_flows_bitwise(fused, tiled);
+  s.border_tile_m = 40.0;
+  s.unbounded = true;
+  const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
+  const net::NetworkResult& tiled = runs.border.tiled.result;
   EXPECT_GT(tiled.border.messages, 0u);
 
   // The hidden-terminal physics must survive the tiling: both flows
@@ -281,13 +236,11 @@ TEST(BorderEquivalence, HiddenTerminalsAcrossTheBorder) {
   EXPECT_GT(tiled.flows[1].delivered, 0u);
   EXPECT_GT(tiled.data_failures, 0u);
 
-  // Qualitative agreement with the true monolith (shared-stream RNG
-  // discipline, immediate influence — NOT bitwise comparable): same
-  // collision regime, same order of magnitude of goodput.
-  net::NetworkConfig mono_cfg = cfg;
-  Rng mono_rng(7);
-  const auto mono =
-      net::simulate_network(mono_cfg, d.nodes, d.flows, mono_rng);
+  // Qualitative agreement with the true monolith (same per-entity
+  // streams, but immediate cross-tile influence — NOT bitwise
+  // comparable): same collision regime, same order of magnitude of
+  // goodput.
+  const net::NetworkResult& mono = runs.unbounded.tiled.result;
   EXPECT_GT(mono.data_failures, 0u);
   ASSERT_GT(mono.aggregate_throughput_mbps, 0.0);
   const double ratio =

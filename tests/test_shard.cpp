@@ -18,7 +18,7 @@
 #include "net/netsim.h"
 #include "net/shard.h"
 #include "obs/metrics.h"
-#include "par/montecarlo.h"
+#include "support/plan_shapes.h"
 
 namespace wlan {
 namespace {
@@ -76,30 +76,6 @@ net::ShardOptions monolithic() {
   net::ShardOptions o;
   o.cutoff_margin_db = kInf;
   return o;
-}
-
-void expect_flows_bitwise(const net::NetworkResult& a,
-                          const net::NetworkResult& b) {
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    EXPECT_EQ(a.flows[f].delivered, b.flows[f].delivered) << "flow " << f;
-    EXPECT_EQ(a.flows[f].attempts, b.flows[f].attempts) << "flow " << f;
-    EXPECT_EQ(a.flows[f].retries, b.flows[f].retries) << "flow " << f;
-    EXPECT_EQ(a.flows[f].drops, b.flows[f].drops) << "flow " << f;
-    EXPECT_EQ(a.flows[f].throughput_mbps, b.flows[f].throughput_mbps)
-        << "flow " << f;
-    EXPECT_EQ(a.flows[f].mean_delay_s, b.flows[f].mean_delay_s)
-        << "flow " << f;
-    EXPECT_EQ(a.flows[f].mean_data_rate_mbps, b.flows[f].mean_data_rate_mbps)
-        << "flow " << f;
-  }
-  EXPECT_EQ(a.total_delivered, b.total_delivered);
-  EXPECT_EQ(a.aggregate_throughput_mbps, b.aggregate_throughput_mbps);
-  EXPECT_EQ(a.data_tx_count, b.data_tx_count);
-  EXPECT_EQ(a.data_failures, b.data_failures);
-  EXPECT_EQ(a.rts_tx_count, b.rts_tx_count);
-  EXPECT_EQ(a.rts_failures, b.rts_failures);
-  EXPECT_EQ(a.simultaneous_starts, b.simultaneous_starts);
 }
 
 // --- Planner geometry ------------------------------------------------
@@ -166,63 +142,51 @@ TEST(ShardPlan, WiderMarginCouplesMorePairs) {
 
 // --- Shard vs monolith equivalence ----------------------------------
 
+// The monolith is the unbounded plan's single round: simulate_network
+// and simulate_network_sharded on that plan agree bitwise, snapshots
+// included, at any jobs count (the plan-shape helper runs jobs 1 and 4,
+// the reference and simulate_network itself).
 TEST(ShardEquivalence, Multibss63BitwiseIdenticalToMonolith) {
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.2;
-  cfg.payload_bytes = 1000;
-  cfg.rts_cts = true;
-  cfg.error_model.model = net::RxModel::kPerModel;
-  cfg.error_model.shadowing_sigma_db = 4.0;
-  cfg.error_model.realizations = 8;
-  cfg.rate_control = net::RateControlMode::kArf;
-  const Deployment d = multibss63(cfg);
-
-  obs::Registry mono_reg;
-  cfg.registry = &mono_reg;
-  Rng mono_rng(11);
-  const auto mono = simulate_network(cfg, d.nodes, d.flows, mono_rng);
-
-  for (const unsigned jobs : {1u, 8u}) {
-    obs::Registry shard_reg;
-    cfg.registry = &shard_reg;
-    net::ShardOptions opt = monolithic();
-    opt.jobs = jobs;
-    Rng rng(11);
-    const auto sharded =
-        net::simulate_network_sharded(cfg, d.nodes, d.flows, opt, rng);
-    expect_flows_bitwise(mono, sharded);
-    EXPECT_EQ(mono_reg.snapshot_json(), shard_reg.snapshot_json());
-  }
+  plan_shapes::Scenario s;
+  s.config.duration_s = 0.2;
+  s.config.payload_bytes = 1000;
+  s.config.rts_cts = true;
+  s.config.error_model.model = net::RxModel::kPerModel;
+  s.config.error_model.shadowing_sigma_db = 4.0;
+  s.config.error_model.realizations = 8;
+  s.config.rate_control = net::RateControlMode::kArf;
+  const Deployment d = multibss63(s.config);
+  s.nodes = d.nodes;
+  s.flows = d.flows;
+  s.seed = 11;
+  s.component = false;
+  s.unbounded = true;
+  const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
+  EXPECT_GT(runs.unbounded.tiled.result.total_delivered, 0u);
 }
 
 TEST(ShardEquivalence, HiddenTerminalTriangleBitwiseIdentical) {
+  plan_shapes::Scenario s;
   const auto setup = net::make_hidden_terminal_setup(80.0);
-  net::NetworkConfig cfg;
-  cfg.duration_s = 0.5;
-  cfg.rts_cts = false;
-
-  obs::Registry mono_reg;
-  cfg.registry = &mono_reg;
-  Rng mono_rng(7);
-  const auto mono = simulate_network(cfg, setup.nodes, setup.flows, mono_rng);
+  s.nodes = setup.nodes;
+  s.flows = setup.flows;
+  s.config.duration_s = 0.5;
+  s.config.rts_cts = false;
+  s.seed = 7;
 
   // At 80 m spacing every pair stays above the default cutoff, so even
   // the bounded plan is a single shard and must reproduce the monolith
-  // bitwise (it runs inline on the caller's rng).
-  for (const double margin : {kInf, 15.0}) {
-    obs::Registry shard_reg;
-    cfg.registry = &shard_reg;
-    net::ShardOptions opt;
-    opt.cutoff_margin_db = margin;
-    opt.jobs = 8;
-    Rng rng(7);
-    const net::ShardPlan plan = net::plan_shards(cfg, setup.nodes, opt);
-    ASSERT_EQ(plan.shards.size(), 1u);
-    const auto sharded = net::simulate_network_sharded(
-        cfg, setup.nodes, setup.flows, opt, rng, &plan);
-    expect_flows_bitwise(mono, sharded);
-    EXPECT_EQ(mono_reg.snapshot_json(), shard_reg.snapshot_json());
-  }
+  // bitwise (same root draw, same per-entity streams, same CSR).
+  const net::ShardPlan plan =
+      net::plan_shards(s.config, s.nodes, net::ShardOptions{});
+  ASSERT_EQ(plan.shards.size(), 1u);
+  s.border_tile_m = 40.0;
+  s.unbounded = true;
+  const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
+  plan_shapes::expect_results_bitwise(runs.unbounded.tiled.result,
+                                      runs.component.tiled.result);
+  EXPECT_EQ(runs.unbounded.tiled.snapshot, runs.component.tiled.snapshot);
+  EXPECT_GT(runs.component.tiled.result.data_failures, 0u);
 }
 
 /// Two multibss cells 5 km apart: a genuinely multi-shard run.
@@ -268,14 +232,14 @@ TEST(ShardEquivalence, MultiShardRunIsThreadCountInvariant) {
   Rng rng8(3);
   const auto r8 = net::simulate_network_sharded(cfg, d.nodes, d.flows, opt,
                                                 rng8);
-  expect_flows_bitwise(r1, r8);
+  plan_shapes::expect_results_bitwise(r1, r8);
   EXPECT_EQ(reg1.snapshot_json(), reg8.snapshot_json());
   EXPECT_EQ(r1.lifecycle.breaches, 0u);
   EXPECT_EQ(r8.lifecycle.breaches, 0u);
 }
 
 /// Shard 0 of a two-cell component run against a monolithic run of its
-/// members alone under the same derived Rng: bitwise equal per flow.
+/// members alone under the same caller seed: bitwise equal per flow.
 void expect_shard_zero_matches_monolith(const net::NetworkConfig& cfg) {
   const Deployment d = two_cells(cfg);
   const std::size_t cell_nodes = 7;
@@ -286,18 +250,16 @@ void expect_shard_zero_matches_monolith(const net::NetworkConfig& cfg) {
   const auto sharded =
       net::simulate_network_sharded(cfg, d.nodes, d.flows, opt, rng);
 
-  // Shard 0 ran under Rng(derive_seed(root, 0, 0)) where root is the
-  // first draw off the caller's rng; its members are exactly cell 0,
-  // whose local indices equal the global ones. A monolithic run of that
-  // subset under the same derived rng must agree bitwise.
+  // Both calls draw the same root off a Rng(99) and key every stream by
+  // global id. Shard 0's members are exactly cell 0, whose global ids
+  // are the subset's own indices, so a monolithic run of that subset
+  // draws the identical streams and must agree bitwise.
   Rng replay(99);
-  const std::uint64_t root = replay.next_u64();
-  Rng shard0_rng(par::derive_seed(root, 0, 0));
   const std::vector<net::NodeConfig> sub_nodes(
       d.nodes.begin(), d.nodes.begin() + cell_nodes);
   const std::vector<net::Flow> sub_flows(d.flows.begin(),
                                          d.flows.begin() + cell_flows);
-  const auto mono = simulate_network(cfg, sub_nodes, sub_flows, shard0_rng);
+  const auto mono = simulate_network(cfg, sub_nodes, sub_flows, replay);
   for (std::size_t f = 0; f < cell_flows; ++f) {
     EXPECT_EQ(sharded.flows[f].delivered, mono.flows[f].delivered);
     EXPECT_EQ(sharded.flows[f].attempts, mono.flows[f].attempts);
