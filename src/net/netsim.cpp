@@ -1,6 +1,7 @@
 #include "net/netsim.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -268,6 +269,10 @@ class Engine {
     }
     row_off_[n_] = row_nbr_.size();
     out_off_[n_] = out_tile_.size();
+    peer_tiles_ = out_tile_;
+    std::sort(peer_tiles_.begin(), peer_tiles_.end());
+    peer_tiles_.erase(std::unique(peer_tiles_.begin(), peer_tiles_.end()),
+                      peer_tiles_.end());
     inbound_flat_.reserve(inbound_rows.size());
     for (auto& [key, row] : inbound_rows) {
       inbound_[key] = Span{inbound_flat_.size(), row.size()};
@@ -467,11 +472,16 @@ class Engine {
   double next_time() const { return sched_.next_time(); }
   /// Border messages generated since the last drain (epoch driver only).
   std::vector<BorderMsg>& outbox() { return outbox_; }
+  /// Tiles coupled to this one, ascending. Coupling is symmetric, so
+  /// these are both the tiles its messages go to and the only tiles
+  /// whose messages can target it.
+  const std::vector<std::uint32_t>& peer_tiles() const { return peer_tiles_; }
 
   /// Expands a routed border message into its start/end records. Called
-  /// by the epoch driver between rounds; the apply times land at or
-  /// after the next epoch boundary by the lookahead's power-of-two
-  /// rounding guarantee, so they are always in this engine's future.
+  /// by the epoch driver at the start of the engine's next round; the
+  /// apply times land at or after that round's epoch boundary by the
+  /// lookahead's power-of-two rounding guarantee, so they are always in
+  /// this engine's future.
   void inject_border(const BorderMsg& msg) {
     add_influence(msg.start_s + delay_s_,
                   InfluenceRec{msg.origin, msg.target_tile, 0, 0.0});
@@ -1321,6 +1331,7 @@ class Engine {
   /// Per local node: the tiles its transmissions influence (CSR).
   std::vector<std::size_t> out_off_;
   std::vector<std::uint32_t> out_tile_;
+  std::vector<std::uint32_t> peer_tiles_;  // distinct out_tile_, ascending
   /// Pending influence by apply time; one urgent event armed per key.
   std::map<double, std::vector<InfluenceRec>> influence_;
   std::vector<BorderMsg> outbox_;
@@ -1476,18 +1487,23 @@ NetworkResult merge_shard_outputs(const NetworkConfig& config,
 /// conservative-time lockstep rounds, finalize on the pool, merge in
 /// shard order.
 ///
-/// Per-tile engines each simulate their private horizon [t, t+L) — one
-/// parallel_for call per round IS the epoch barrier — then the driver,
-/// single-threaded, routes every outbox in ascending tile order into
-/// the target engines' influence maps. L is the plan's lookahead:
-/// influence stamped inside round k applies at or after boundary
-/// (k+1)*L, so everything a round needs was already routed when it
-/// starts, and the message order seen by any engine is a pure function
-/// of the plan — bitwise identical at any jobs count, and identical to
-/// the fused reference engine (`fused`) that queues the same records
-/// locally. A plan without cross-tile edges (components, one shard, the
-/// unbounded monolith plan) or a single engine is just one final round
-/// with no messages, whose tasks build, run and finalize their engines.
+/// The rounds run on `par::run_rounds`: persistent participants, one
+/// per pool lane up to the tile count, cross every round on one atomic
+/// gate. Each per-tile engine simulates its private horizon [t, t+L)
+/// after routing its own inbox: the messages the previous executed
+/// round left in the outboxes of its peer tiles (double-buffered by
+/// round parity), taken in ascending source-tile order and generation
+/// order within each outbox. L is the plan's lookahead: influence
+/// stamped inside round k applies at or after boundary (k+1)*L, so
+/// everything a round needs was generated by the round before, and the
+/// message order seen by any engine is a pure function of the plan —
+/// bitwise identical at any jobs count, and identical to the fused
+/// reference engine (`fused`) that queues the same records locally.
+/// The thread ending a round records its stats, counts its messages,
+/// skips idle epochs and publishes the next. A plan without cross-tile
+/// edges (components, one shard, the unbounded monolith plan) or a
+/// single engine is just one final round with no messages, whose tasks
+/// build, run and finalize their engines.
 NetworkResult run_plan(const NetworkConfig& config,
                        const std::vector<NodeConfig>& nodes,
                        const std::vector<Flow>& flows, const ShardPlan& plan,
@@ -1553,77 +1569,78 @@ NetworkResult run_plan(const NetworkConfig& config,
   {
     const obs::perf::ScopedSpan span("net.events");
     const double lookahead = plan.lookahead_s;
-    // Chunk several tiles per task: thousands of rounds of per-tile
-    // dispatch would otherwise eat the speedup in queue traffic.
-    const std::size_t chunk =
-        lockstep ? std::max<std::size_t>(
-                       1, n_engines / (8 * static_cast<std::size_t>(
-                                               std::max(1u, lanes))))
-                 : 1;
     const std::size_t n_full =
         lockstep ? static_cast<std::size_t>(
                        std::floor(config.duration_s / lookahead))
                  : 0;
-    std::size_t k = 0;
-    for (;;) {
-      const bool final_round = k >= n_full;
-      const double bound = final_round
-                               ? config.duration_s
-                               : static_cast<double>(k + 1) * lookahead;
-      const std::uint64_t wall0 = par::detail::monotonic_ns();
-      pool.parallel_for(n_engines, chunk, [&](std::size_t b, std::size_t e) {
-        for (std::size_t s = b; s < e; ++s) {
-          if (!lockstep) build(s);
-          const std::uint64_t t0 = par::detail::monotonic_ns();
-          if (final_round) {
-            engines[s]->run_final(bound);
-          } else {
-            engines[s]->run_before(bound);
-          }
-          busy_s[s] = static_cast<double>(par::detail::monotonic_ns() - t0) *
-                      1e-9;
-          if (!lockstep) finish(s);
-        }
-      });
-      epochs.record_round(
-          static_cast<double>(par::detail::monotonic_ns() - wall0) * 1e-9,
-          busy_s.data(), n_engines);
-      if (final_round) break;
-      // Route in ascending tile order, each outbox in generation order:
-      // the delivery sequence every engine sees is schedule-independent.
-      bool any = false;
-      for (std::size_t s = 0; s < n_engines; ++s) {
-        for (const BorderMsg& msg : engines[s]->outbox()) {
-          engines[msg.target_tile]->inject_border(msg);
-          ++messages;
-          any = true;
-        }
-        engines[s]->outbox().clear();
+    // Written only by the thread ending a round, read by the tasks of
+    // the next: run_rounds orders the two.
+    std::size_t k = 0;  // epoch of the round in flight
+    bool final_round = n_full == 0;
+    double bound = final_round ? config.duration_s : lookahead;
+    // Per tile, written by the task running it: the messages it sent,
+    // by executed-round parity, and its earliest pending event.
+    struct alignas(64) TileSlot {
+      std::array<std::vector<BorderMsg>, 2> sent;
+      double next_s = 0.0;
+    };
+    std::vector<TileSlot> slots(n_engines);
+    std::uint64_t round0 = par::detail::monotonic_ns();
+
+    const auto tile = [&](std::uint32_t r, std::size_t s) {
+      if (!lockstep) build(s);
+      const std::uint64_t t0 = par::detail::monotonic_ns();
+      Engine& engine = *engines[s];
+      if (r > 0) {
+        for (const std::uint32_t src : engine.peer_tiles())
+          for (const BorderMsg& msg : slots[src].sent[(r - 1) & 1])
+            if (msg.target_tile == s) engine.inject_border(msg);
       }
-      if (any) {
-        ++k;
-        continue;
-      }
-      // Idle skip: nothing is in flight and run_before drained every
-      // event below the boundary, so the earliest pending event bounds
-      // the next epoch that can do work. Messages travel exactly one
-      // epoch, so skipping empty ones cannot reorder anything.
-      double min_next = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < n_engines; ++s)
-        min_next = std::min(min_next, engines[s]->next_time());
-      std::size_t k_next = k + 1;
-      if (std::isfinite(min_next)) {
-        const double r = std::floor(min_next / lookahead);
-        if (r >= static_cast<double>(n_full)) {
-          k_next = n_full;
-        } else if (r > static_cast<double>(k + 1)) {
-          k_next = static_cast<std::size_t>(r);
-        }
+      if (final_round) {
+        engine.run_final(bound);
       } else {
-        k_next = n_full;
+        engine.run_before(bound);
       }
-      k = k_next;
-    }
+      std::vector<BorderMsg>& sent = slots[s].sent[r & 1];
+      sent.clear();
+      sent.swap(engine.outbox());
+      slots[s].next_s = engine.next_time();
+      busy_s[s] = static_cast<double>(par::detail::monotonic_ns() - t0) * 1e-9;
+      if (!lockstep) finish(s);
+    };
+    const auto end_round = [&](std::uint32_t r) {
+      const std::uint64_t now = par::detail::monotonic_ns();
+      epochs.record_round(static_cast<double>(now - round0) * 1e-9,
+                          busy_s.data(), n_engines);
+      round0 = now;
+      if (final_round) return false;
+      std::size_t sent = 0;
+      for (const TileSlot& slot : slots) sent += slot.sent[r & 1].size();
+      messages += sent;
+      if (sent > 0) {
+        ++k;
+      } else {
+        // Idle skip: nothing is in flight and run_before drained every
+        // event below the boundary, so the earliest pending event
+        // bounds the next epoch that can do work. Messages travel
+        // exactly one epoch, so skipping empty ones reorders nothing.
+        double min_next = std::numeric_limits<double>::infinity();
+        for (const TileSlot& slot : slots)
+          min_next = std::min(min_next, slot.next_s);
+        std::size_t k_next = n_full;
+        if (std::isfinite(min_next)) {
+          const double e = std::floor(min_next / lookahead);
+          if (e < static_cast<double>(n_full))
+            k_next = std::max(k + 1, static_cast<std::size_t>(e));
+        }
+        k = k_next;
+      }
+      final_round = k >= n_full;
+      bound = final_round ? config.duration_s
+                          : static_cast<double>(k + 1) * lookahead;
+      return true;
+    };
+    par::run_rounds(pool, n_engines, tile, end_round);
   }
   const double finalize_s = lockstep ? phase("net.finalize", finish) : 0.0;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -405,6 +407,157 @@ void ThreadPool::parallel_for(
     state.done_cv.wait(lock, [&state] { return state.done; });
   }
   if (state.error) std::rethrow_exception(state.error);
+}
+
+namespace {
+
+constexpr std::uint32_t kRunDone = std::numeric_limits<std::uint32_t>::max();
+// Polls of the round counter before a participant blocks in
+// std::atomic::wait: covers the usual wait for a round's slowest task
+// without a futex round trip, bounded so idle lanes do not burn a core.
+constexpr unsigned kSpinPolls = 1u << 12;
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Shared state of one run_rounds call.
+class Rounds {
+ public:
+  Rounds(std::size_t n, unsigned participants,
+         const std::function<void(std::uint32_t, std::size_t)>& task,
+         const std::function<bool(std::uint32_t)>& end_round)
+      : n_(n), task_(task), end_round_(end_round), cursor_(participants) {
+    begin_.reserve(participants + 1);
+    for (unsigned p = 0; p <= participants; ++p)
+      begin_.push_back(n * p / participants);
+    open(0);
+  }
+  Rounds(const Rounds&) = delete;
+  Rounds& operator=(const Rounds&) = delete;
+
+  void participate(unsigned p) {
+    for (;;) {
+      const std::uint32_t r = round_.load(std::memory_order_acquire);
+      if (r == kRunDone) return;
+      std::size_t i = 0;
+      while (claim(r, p, i)) {
+        try {
+          task_(r, i);
+        } catch (...) {
+          fail();
+        }
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) end(r);
+      }
+      await(r);
+    }
+  }
+
+  void rethrow() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  struct alignas(64) Cursor {
+    std::atomic<std::uint64_t> at{0};  // round << 32 | next task index
+  };
+
+  // Arms round r: every task pending, every block cursor tagged r at
+  // its first task. Only the publisher writes these, before the
+  // release store of the round that makes them visible.
+  void open(std::uint32_t r) {
+    pending_.store(n_, std::memory_order_relaxed);
+    for (std::size_t q = 0; q < cursor_.size(); ++q)
+      cursor_[q].at.store((std::uint64_t{r} << 32) | begin_[q],
+                          std::memory_order_relaxed);
+  }
+
+  // Own block first, then the others in ring order. A cursor tagged
+  // with another round is closed to this claimant.
+  bool claim(std::uint32_t r, unsigned p, std::size_t& i) {
+    const std::size_t blocks = cursor_.size();
+    for (std::size_t step = 0; step < blocks; ++step) {
+      const std::size_t q = (p + step) % blocks;
+      std::atomic<std::uint64_t>& at = cursor_[q].at;
+      std::uint64_t c = at.load(std::memory_order_relaxed);
+      for (;;) {
+        if ((c >> 32) != r) break;
+        const std::size_t next = static_cast<std::size_t>(c & 0xffffffffu);
+        if (next >= begin_[q + 1]) break;
+        if (at.compare_exchange_weak(c, c + 1, std::memory_order_acq_rel,
+                                     std::memory_order_relaxed)) {
+          i = next;
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  // Runs on the thread that finished round r's last task.
+  void end(std::uint32_t r) {
+    bool more = false;
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        more = end_round_(r);
+        if (more && r + 1 == kRunDone)
+          throw std::length_error("par::run_rounds: round counter exhausted");
+      } catch (...) {
+        fail();
+        more = false;
+      }
+    }
+    if (more) open(r + 1);
+    round_.store(more ? r + 1 : kRunDone, std::memory_order_release);
+    round_.notify_all();
+  }
+
+  void await(std::uint32_t r) {
+    for (unsigned i = 0; i < kSpinPolls; ++i) {
+      if (round_.load(std::memory_order_acquire) != r) return;
+      cpu_relax();
+    }
+    round_.wait(r, std::memory_order_acquire);
+  }
+
+  void fail() {
+    const std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!error_) error_ = std::current_exception();
+    failed_.store(true, std::memory_order_release);
+  }
+
+  const std::size_t n_;
+  const std::function<void(std::uint32_t, std::size_t)>& task_;
+  const std::function<bool(std::uint32_t)>& end_round_;
+  std::vector<std::size_t> begin_;  // block p spans [begin_[p], begin_[p+1])
+  std::vector<Cursor> cursor_;
+  alignas(64) std::atomic<std::uint32_t> round_{0};
+  alignas(64) std::atomic<std::size_t> pending_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;
+};
+
+}  // namespace
+
+void run_rounds(ThreadPool& pool, std::size_t n,
+                const std::function<void(std::uint32_t, std::size_t)>& task,
+                const std::function<bool(std::uint32_t)>& end_round) {
+  if (n == 0) return;
+  if (n > 0xffffffffu)
+    throw std::length_error("par::run_rounds: more than 2^32 - 1 tasks");
+  const auto participants =
+      static_cast<unsigned>(std::min<std::size_t>(pool.size(), n));
+  Rounds rounds(n, participants, task, end_round);
+  pool.parallel_for(participants, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t p = b; p < e; ++p)
+      rounds.participate(static_cast<unsigned>(p));
+  });
+  rounds.rethrow();
 }
 
 namespace {

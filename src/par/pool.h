@@ -88,10 +88,12 @@ void publish_telemetry(obs::Registry& registry, const PoolTelemetry& pool,
                        const ChunkStats& chunks, double wall_s);
 
 /// Lockstep-epoch barrier telemetry. A conservative-time driver (the
-/// netsim border exchange) calls `record_round` once per epoch with the
-/// barrier's wall time and each shard's busy time inside it; the
-/// aggregates diagnose barrier stalls: `utilization` is how much of the
-/// lanes' capacity the epochs filled, `imbalance` how lopsided the
+/// netsim border exchange, on `run_rounds`) calls `record_round` once
+/// per round with the round's wall time — from one round's publish to
+/// the next, so it covers inbox routing, the tiles and the waits — and
+/// each shard's busy time inside it (its inbox routing plus its run).
+/// The aggregates diagnose barrier stalls: `utilization` is how much of
+/// the lanes' capacity the epochs filled, `imbalance` how lopsided the
 /// per-round shard work was (the slowest shard gates every round).
 /// Wall-clock data — never fold into determinism-gated metrics.
 struct EpochStats {
@@ -185,6 +187,30 @@ class ThreadPool {
   std::size_t next_lane_ = 0;  // round-robin target for external submits
   bool stop_ = false;
 };
+
+/// Runs lockstep rounds of `n` tasks on persistent participants: one
+/// parallel_for of min(pool.size(), n) participants covers every round,
+/// and the caller is one of them.
+///
+/// Round r runs `task(r, i)` once for every i in [0, n). Participant p
+/// first claims the tasks of its own contiguous block, so a task stays
+/// on one thread across rounds, then steals from the other blocks;
+/// claims go through per-block cursors tagged with the round, so a
+/// participant that lags behind cannot claim into a later round. The
+/// thread that finishes a round's last task calls `end_round(r)` —
+/// after every task of round r, before any of round r+1 — and, if it
+/// returns true, publishes round r+1 and wakes the waiting participants
+/// (a brief spin, then std::atomic::wait). Rounds never wait on a
+/// participant that has not started: a late one joins the round in
+/// flight or exits, so runs nested inside pool tasks cannot deadlock.
+/// A task itself must not wait on the pool (no parallel_for inside a
+/// task): helping there could pick up a participant of this very run,
+/// which would then wait for the task's own round. The first exception
+/// a task or `end_round` throws ends the run at the next round end and
+/// is rethrown here. Fewer than 2^32 - 1 rounds and tasks.
+void run_rounds(ThreadPool& pool, std::size_t n,
+                const std::function<void(std::uint32_t, std::size_t)>& task,
+                const std::function<bool(std::uint32_t)>& end_round);
 
 /// The process-wide pool, created on first use with `default_jobs()`
 /// lanes. Thread-safe.

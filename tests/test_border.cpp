@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "net/netsim.h"
 #include "net/shard.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "par/pool.h"
 #include "support/plan_shapes.h"
 
 namespace wlan {
@@ -132,7 +135,9 @@ TEST(BorderPlan, NeedsAFiniteTile) {
 // influence records, queued locally instead of routed. The lockstep
 // exchange must reproduce it bitwise at any jobs count (the plan-shape
 // helper runs jobs 1 and 4 and the reference).
-TEST(BorderEquivalence, FusedMatchesTiledBitwiseOn63NodeGrid) {
+/// The named 63-node border fixture: RTS/CTS, PER reception with
+/// shadowing and ARF, one tile per BSS spacing.
+plan_shapes::Scenario grid63_fixture() {
   plan_shapes::Scenario s;
   s.config.duration_s = 0.05;
   s.config.rts_cts = true;
@@ -147,7 +152,12 @@ TEST(BorderEquivalence, FusedMatchesTiledBitwiseOn63NodeGrid) {
   s.seed = 11;
   s.component = false;  // one component: the border shape is the test
   s.border_tile_m = spacing;
-  const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
+  return s;
+}
+
+TEST(BorderEquivalence, FusedMatchesTiledBitwiseOn63NodeGrid) {
+  const plan_shapes::Runs runs =
+      plan_shapes::expect_plan_shapes_agree(grid63_fixture());
 
   const net::NetworkResult& fused = runs.border.reference.result;
   const net::NetworkResult& tiled = runs.border.tiled.result;
@@ -270,6 +280,153 @@ TEST(BorderAudit, RemoteInfluenceKeepsInvariantsIntact) {
   for (const auto& f : r.flows) delivered += f.delivered;
   EXPECT_EQ(delivered, r.total_delivered);
   EXPECT_GT(delivered, 0u);
+}
+
+// --- Round driver ----------------------------------------------------
+
+/// Sizes the default pool for one test and restores it afterwards.
+struct DefaultJobs {
+  explicit DefaultJobs(unsigned jobs) { par::set_default_jobs(jobs); }
+  ~DefaultJobs() { par::set_default_jobs(0); }
+};
+
+/// The 63-node grid under the SINR threshold, every other flow Poisson.
+plan_shapes::Scenario grid63_threshold(double* spacing) {
+  plan_shapes::Scenario s;
+  s.config.duration_s = 0.05;
+  const Deployment d = multibss63(s.config, spacing);
+  s.nodes = d.nodes;
+  s.flows = d.flows;
+  for (std::size_t f = 0; f < s.flows.size(); f += 2)
+    s.flows[f].arrival_rate_pps = 200.0;
+  return s;
+}
+
+// Border runs launched from inside default-pool tasks share the pool
+// with their own round participants; no round may wait on a lane that
+// never starts, and the results must not notice the nesting.
+TEST(BorderDriver, NestedRunsMatchSerialRuns) {
+  const DefaultJobs lanes(4);
+  double spacing = 0.0;
+  const plan_shapes::Scenario s = grid63_threshold(&spacing);
+  const net::ShardOptions opt = bordered(spacing, 0);
+  constexpr std::size_t kRuns = 4;
+  const auto run = [&](std::size_t i) {
+    plan_shapes::Scenario si = s;
+    si.seed = 40 + i;
+    return plan_shapes::run_sharded(si, opt);
+  };
+
+  std::vector<plan_shapes::ShapeRun> serial;
+  for (std::size_t i = 0; i < kRuns; ++i) serial.push_back(run(i));
+  std::vector<plan_shapes::ShapeRun> nested(kRuns);
+  par::default_pool().parallel_for(kRuns, 1, [&](std::size_t b,
+                                                 std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) nested[i] = run(i);
+  });
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    SCOPED_TRACE("run " + std::to_string(i));
+    EXPECT_GT(serial[i].result.border.messages, 0u);
+    EXPECT_EQ(nested[i].result.border.epochs, serial[i].result.border.epochs);
+    EXPECT_EQ(nested[i].result.border.messages,
+              serial[i].result.border.messages);
+    plan_shapes::expect_results_bitwise(serial[i].result, nested[i].result);
+    EXPECT_EQ(serial[i].snapshot, nested[i].snapshot);
+  }
+}
+
+/// `s`'s border shape at jobs 3 and 8 against its one-engine reference.
+void expect_lanes_match_reference(const plan_shapes::Scenario& s) {
+  net::ShardOptions opt = bordered(s.border_tile_m, 0);
+  opt.border_reference = true;
+  const plan_shapes::ShapeRun ref = plan_shapes::run_sharded(s, opt);
+  opt.border_reference = false;
+  opt.jobs = 3;
+  const plan_shapes::ShapeRun three = plan_shapes::run_sharded(s, opt);
+  opt.jobs = 8;
+  const plan_shapes::ShapeRun eight = plan_shapes::run_sharded(s, opt);
+  EXPECT_GT(three.result.border.messages, 0u);
+  plan_shapes::expect_results_bitwise(ref.result, three.result);
+  plan_shapes::expect_results_bitwise(ref.result, eight.result);
+  EXPECT_EQ(plan_shapes::physics_instruments(ref.snapshot),
+            plan_shapes::physics_instruments(three.snapshot));
+  EXPECT_EQ(three.snapshot, eight.snapshot);
+  EXPECT_EQ(three.result.border.messages, eight.result.border.messages);
+}
+
+std::size_t tile_count(const plan_shapes::Scenario& s) {
+  return net::plan_shards(s.config, s.nodes, bordered(s.border_tile_m, 0),
+                          &s.flows)
+      .shards.size();
+}
+
+// Participant blocks of uneven size, and more lanes than tiles: 3 and 8
+// lanes over the named fixture's 9 tiles and over a 4-tile split.
+TEST(BorderDriver, UnevenBlocksMatchTheReference) {
+  const plan_shapes::Scenario named = grid63_fixture();
+  ASSERT_EQ(tile_count(named), 9u);
+  {
+    SCOPED_TRACE("named fixture");
+    expect_lanes_match_reference(named);
+  }
+  double spacing = 0.0;
+  plan_shapes::Scenario four = grid63_threshold(&spacing);
+  four.seed = 12;
+  four.border_tile_m = 1.5 * spacing;
+  ASSERT_EQ(tile_count(four), 4u);
+  {
+    SCOPED_TRACE("four tiles");
+    expect_lanes_match_reference(four);
+  }
+}
+
+/// Counts events and throws on the `throw_at`-th (never when 0).
+class ThrowingSink final : public obs::TraceSink {
+ public:
+  explicit ThrowingSink(std::uint64_t throw_at) : throw_at_(throw_at) {}
+  void record(const obs::TraceEvent&) override {
+    if (++events_ == throw_at_) throw std::runtime_error("sink full");
+  }
+  std::uint64_t events() const { return events_; }
+
+ private:
+  std::uint64_t throw_at_;
+  std::uint64_t events_ = 0;
+};
+
+// A tile that throws ends the run at the next round end; the exception
+// reaches the caller and the pool stays usable.
+TEST(BorderDriver, TileExceptionEndsTheRun) {
+  const DefaultJobs lanes(4);
+  double spacing = 0.0;
+  plan_shapes::Scenario s = grid63_threshold(&spacing);
+  s.seed = 5;
+  const net::ShardOptions opt = bordered(1.5 * spacing, 0);
+  ASSERT_EQ(net::plan_shards(s.config, s.nodes, opt, &s.flows).shards.size(),
+            4u);
+
+  net::ShardOptions ref_opt = opt;
+  ref_opt.border_reference = true;
+  ThrowingSink counter(0);
+  plan_shapes::Scenario traced = s;
+  traced.config.trace = &counter;
+  const plan_shapes::ShapeRun ref = plan_shapes::run_sharded(traced, ref_opt);
+  ASSERT_GT(counter.events(), 100u);
+
+  ThrowingSink sink(counter.events() / 2);
+  traced.config.trace = &sink;
+  try {
+    plan_shapes::run_sharded(traced, opt);
+    ADD_FAILURE() << "the sink's exception did not reach the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink full");
+  }
+
+  const plan_shapes::ShapeRun again = plan_shapes::run_sharded(s, opt);
+  EXPECT_GT(again.result.border.messages, 0u);
+  plan_shapes::expect_results_bitwise(ref.result, again.result);
+  EXPECT_EQ(plan_shapes::physics_instruments(ref.snapshot),
+            plan_shapes::physics_instruments(again.snapshot));
 }
 
 }  // namespace

@@ -330,6 +330,58 @@ TEST(EpochStats, AggregatesRoundsAndPublishesGauges) {
   EXPECT_NE(json.find("par.epoch.imbalance"), std::string::npos);
 }
 
+// Every task runs exactly once per round, and end_round sits between
+// rounds: plain per-task counters, written by whichever participant
+// claimed the task, must read `r` at task time and `r + 1` at round end.
+TEST(RunRounds, EveryTaskOncePerRoundBetweenRoundEnds) {
+  for (unsigned jobs : {1u, 3u, 8u}) {
+    par::ThreadPool pool(jobs);
+    constexpr std::size_t kTasks = 7;
+    constexpr std::uint32_t kRounds = 200;
+    std::vector<std::uint32_t> runs(kTasks, 0);
+    std::atomic<std::size_t> misplaced{0};
+    std::uint32_t ends = 0;
+    par::run_rounds(
+        pool, kTasks,
+        [&](std::uint32_t r, std::size_t i) {
+          if (runs[i] != r) misplaced.fetch_add(1);
+          ++runs[i];
+        },
+        [&](std::uint32_t r) {
+          for (const std::uint32_t n : runs)
+            if (n != r + 1) misplaced.fetch_add(1);
+          ++ends;
+          return r + 1 < kRounds;
+        });
+    EXPECT_EQ(misplaced.load(), 0u) << "jobs " << jobs;
+    EXPECT_EQ(ends, kRounds) << "jobs " << jobs;
+    for (const std::uint32_t n : runs) EXPECT_EQ(n, kRounds);
+  }
+}
+
+TEST(RunRounds, FirstExceptionEndsTheRunAtTheRoundEnd) {
+  par::ThreadPool pool(4);
+  std::atomic<int> ran_late{0};
+  std::uint32_t ends = 0;
+  EXPECT_THROW(par::run_rounds(
+                   pool, 5,
+                   [&](std::uint32_t r, std::size_t i) {
+                     if (r == 3 && i == 2) throw std::runtime_error("tile");
+                     if (r > 3) ran_late.fetch_add(1);
+                   },
+                   [&](std::uint32_t) {
+                     ++ends;
+                     return true;
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(ends, 3u);  // rounds 0-2 ended; round 3 failed
+  EXPECT_EQ(ran_late.load(), 0);
+  // The pool stays usable.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, 1, [&](std::size_t b, std::size_t) { sum += b; });
+  EXPECT_EQ(sum.load(), 45);
+}
+
 TEST(NetsimBatch, RunsDifferFromEachOther) {
   std::vector<net::NodeConfig> nodes(2);
   nodes[1].position = {10.0, 0.0};

@@ -207,8 +207,9 @@ TEST(BorderPool, JobsZeroRunsOnTheDefaultPool) {
   par::set_telemetry_enabled(false);
   EXPECT_EQ(r.border.tiles, 2u);
   EXPECT_GT(r.border.epochs, 1u);
-  // Set-up, every epoch and finalize each submit at least one task.
-  EXPECT_GE(tasks, r.border.epochs + 2);
+  // Set-up, the rounds' participants and finalize each submit at least
+  // one task; a run on a private pool would leave this count at zero.
+  EXPECT_GE(tasks, 3u);
 }
 
 }  // namespace
