@@ -5,13 +5,18 @@
 
 #include "common/units.h"
 #include "dsp/ops.h"
+#include "obs/perf.h"
 
 namespace wlan::channel {
 
 void add_awgn(CVec& x, Rng& rng, double noise_variance) {
   if (noise_variance <= 0.0) return;
+  const obs::perf::ScopedSpan span("channel.awgn");
   // One sqrt for the whole waveform; per-sample values are identical to
-  // calling rng.cgaussian(noise_variance) sample by sample.
+  // calling rng.cgaussian(noise_variance) sample by sample. Each normal
+  // is one ziggurat draw: one next_u64() on the fast path, more when a
+  // candidate is rejected, so the stream position after a waveform
+  // depends on the draws and must not be computed from its length.
   const double s = std::sqrt(noise_variance / 2.0);
   for (auto& v : x) v += Cplx{s * rng.gaussian(), s * rng.gaussian()};
 }

@@ -1,8 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-#include <numbers>
-
 #include "common/check.h"
 
 namespace wlan {
@@ -16,42 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-Rng::Rng(const Rng& other) {
-  for (std::size_t i = 0; i < 4; ++i) s_[i] = other.s_[i];
-  // The cached Box-Muller variate is deliberately not copied (rng.h).
-}
-
-Rng& Rng::operator=(const Rng& other) {
-  for (std::size_t i = 0; i < 4; ++i) s_[i] = other.s_[i];
-  cached_gaussian_ = 0.0;
-  has_cached_gaussian_ = false;
-  return *this;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
@@ -65,31 +31,27 @@ std::uint64_t Rng::uniform_int(std::uint64_t n) {
   return v % n;
 }
 
-double Rng::gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
+double Rng::gaussian_outside_core(std::size_t layer, double x) {
+  using ziggurat::kF;
+  using ziggurat::kR;
+  if (layer == 0) {
+    // Base strip past R: sample the tail by Marsaglia's method,
+    // t = -ln(U1)/R accepted when -2 ln(U2) >= t^2; the variate is R + t
+    // with the candidate's sign. 1 - uniform() lies in (0, 1].
+    double t = 0.0;
+    double e = 0.0;
+    do {
+      t = -std::log(1.0 - uniform()) / kR;
+      e = -std::log(1.0 - uniform());
+    } while (2.0 * e < t * t);
+    return x < 0.0 ? -(kR + t) : kR + t;
   }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  // One argument reduction for both components: glibc's sincos returns
-  // the same values as separate sin/cos calls, so draws are unchanged.
-  double sin_theta = 0.0;
-  double cos_theta = 0.0;
-  __builtin_sincos(theta, &sin_theta, &cos_theta);
-  cached_gaussian_ = r * sin_theta;
-  has_cached_gaussian_ = true;
-  return r * cos_theta;
-}
-
-double Rng::gaussian(double mean, double stddev) { return mean + stddev * gaussian(); }
-
-Cplx Rng::cgaussian(double variance) {
-  const double s = std::sqrt(variance / 2.0);
-  return {s * gaussian(), s * gaussian()};
+  // Wedge: x is uniform on the part of the layer's row outside the core;
+  // accept it when a uniform height in [f(kX[layer]), f(kX[layer + 1]))
+  // falls under the density.
+  const double y = kF[layer] + (kF[layer + 1] - kF[layer]) * uniform();
+  if (y < std::exp(-0.5 * x * x)) return x;
+  return gaussian();  // rejected: start over with a fresh candidate
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -120,13 +82,6 @@ void Rng::fill_bytes(std::span<std::uint8_t> out) {
   for (auto& byte : out) byte = static_cast<std::uint8_t>(next_u64() & 0xFFu);
 }
 
-Rng Rng::fork() {
-  // Drop any cached pre-split variate: the split is a stream boundary,
-  // and replaying half of a Box-Muller pair across it would hand the
-  // parent a gaussian drawn from entropy consumed before the split.
-  has_cached_gaussian_ = false;
-  cached_gaussian_ = 0.0;
-  return Rng(next_u64());
-}
+Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace wlan

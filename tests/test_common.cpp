@@ -1,14 +1,20 @@
 // Unit tests for the common substrate: RNG, bits, CRC, units, contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <numbers>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/crc.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "common/ziggurat_tables.h"
 
 namespace wlan {
 namespace {
@@ -136,40 +142,125 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_NE(forked.next_u64(), b.next_u64());
 }
 
-TEST(Rng, ForkDiscardsParentCachedGaussian) {
-  // Box-Muller produces variates in pairs and caches the second. A
-  // fork is a stream boundary: the parent must NOT hand out a variate
-  // cached from entropy consumed before the fork, or two generators
-  // that reach identical raw state through different gaussian() call
-  // counts would diverge.
-  Rng with_cache(7);
-  with_cache.gaussian();  // caches the pair's second variate
-  Rng without_cache(7);
-  without_cache.gaussian();
-  without_cache.gaussian();  // drains the cache; same raw state now
-  with_cache.fork();
-  without_cache.fork();
-  // Both parents sit at the same raw state with empty caches, so their
-  // next gaussians must agree.
-  EXPECT_EQ(with_cache.gaussian(), without_cache.gaussian());
-}
+static_assert(std::is_trivially_copyable_v<Rng>);
+static_assert(sizeof(Rng) == 32, "Rng is its xoshiro256 state and nothing else");
 
-TEST(Rng, CopyDoesNotInheritCachedGaussian) {
+TEST(Rng, CopyIsExactClone) {
+  // A copy (or assignment) mid-stream replays the source's gaussian()
+  // sequence bit for bit, however many raw draws each normal took.
   Rng source(11);
-  source.gaussian();  // source now holds a cached variate
+  for (int i = 0; i < 1001; ++i) source.gaussian();
   Rng copy = source;
   Rng assigned(1);
   assigned = source;
-  // The copies share the source's raw state but start a fresh
-  // Box-Muller pair: their first gaussian comes from new draws, not the
-  // source's stale cache.
-  const double from_source_cache = source.gaussian();
-  Rng fresh_copy = source;  // source cache is drained now
-  EXPECT_NE(copy.gaussian(), from_source_cache);
-  EXPECT_NE(assigned.gaussian(), from_source_cache);
-  // A copy of a cache-free generator is an exact clone.
-  Rng clone = fresh_copy;
-  EXPECT_EQ(clone.next_u64(), fresh_copy.next_u64());
+  for (int i = 0; i < 100000; ++i) {
+    const double g = source.gaussian();
+    ASSERT_EQ(copy.gaussian(), g) << "draw " << i;
+    ASSERT_EQ(assigned.gaussian(), g) << "draw " << i;
+  }
+  EXPECT_EQ(copy.next_u64(), source.next_u64());
+}
+
+// Φ(x), the standard normal CDF.
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::numbers::sqrt2); }
+
+// Two-sided tail mass P(|X| > a) of N(0, 1).
+double normal_two_sided_tail(double a) { return std::erfc(a / std::numbers::sqrt2); }
+
+// Moments, tail masses and a 200-bin χ² of n gaussian() draws. Every
+// bound is at least 4σ of the statistic's sampling spread at n draws.
+struct NormalFit {
+  double mean = 0.0;
+  double variance = 0.0;
+  double excess_kurtosis = 0.0;
+  double p_beyond_3 = 0.0;
+  double p_beyond_r = 0.0;
+  double chi2 = 0.0;
+};
+
+constexpr int kChi2Bins = 200;
+
+NormalFit fit_normal(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  double s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+  int beyond_3 = 0;
+  int beyond_r = 0;
+  std::vector<int> bins(kChi2Bins, 0);
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.gaussian();
+    const double x2 = x * x;
+    s1 += x;
+    s2 += x2;
+    s3 += x2 * x;
+    s4 += x2 * x2;
+    beyond_3 += std::fabs(x) > 3.0 ? 1 : 0;
+    beyond_r += std::fabs(x) > ziggurat::kR ? 1 : 0;
+    // Equiprobable bins under Φ: bin k holds Φ(x) in [k/200, (k+1)/200).
+    const int bin = static_cast<int>(normal_cdf(x) * kChi2Bins);
+    ++bins[std::clamp(bin, 0, kChi2Bins - 1)];
+  }
+  NormalFit fit;
+  fit.mean = s1 / n;
+  const double m2 = s2 / n - fit.mean * fit.mean;
+  const double m4 = s4 / n - 4.0 * fit.mean * s3 / n +
+                    6.0 * fit.mean * fit.mean * s2 / n -
+                    3.0 * std::pow(fit.mean, 4);
+  fit.variance = m2;
+  fit.excess_kurtosis = m4 / (m2 * m2) - 3.0;
+  fit.p_beyond_3 = static_cast<double>(beyond_3) / n;
+  fit.p_beyond_r = static_cast<double>(beyond_r) / n;
+  const double expected = static_cast<double>(n) / kChi2Bins;
+  for (const int count : bins) {
+    const double d = count - expected;
+    fit.chi2 += d * d / expected;
+  }
+  return fit;
+}
+
+TEST(Rng, GaussianMatchesStandardNormal) {
+  const int n = 4'000'000;
+  const double p3 = normal_two_sided_tail(3.0);
+  const double pr = normal_two_sided_tail(ziggurat::kR);
+  // pr * n ~ 1,030 draws past R: the tail branch runs about that often.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const NormalFit fit = fit_normal(seed, n);
+    // 4σ bounds: sd(mean) = 1/√n, sd(var) = √(2/n),
+    // sd(excess kurtosis) = √(24/n), sd(p̂) = √(p(1-p)/n).
+    EXPECT_NEAR(fit.mean, 0.0, 4.0 / std::sqrt(n));
+    EXPECT_NEAR(fit.variance, 1.0, 4.0 * std::sqrt(2.0 / n));
+    EXPECT_NEAR(fit.excess_kurtosis, 0.0, 4.0 * std::sqrt(24.0 / n));
+    EXPECT_NEAR(fit.p_beyond_3, p3, 4.0 * std::sqrt(p3 * (1 - p3) / n));
+    EXPECT_NEAR(fit.p_beyond_r, pr, 4.0 * std::sqrt(pr * (1 - pr) / n));
+    // χ² with 199 degrees of freedom: mean 199, sd √398 ≈ 20.
+    const double dof = kChi2Bins - 1;
+    EXPECT_LT(fit.chi2, dof + 4.0 * std::sqrt(2.0 * dof));
+  }
+}
+
+TEST(Rng, ZigguratTablesAreEqualAreaLayers) {
+  using ziggurat::kF;
+  using ziggurat::kR;
+  using ziggurat::kV;
+  using ziggurat::kX;
+  const auto f = [](double x) { return std::exp(-0.5 * x * x); };
+  EXPECT_EQ(kX[1], kR);
+  EXPECT_EQ(kX[256], 0.0);
+  EXPECT_EQ(kF[256], 1.0);
+  EXPECT_NEAR(kV, 4.92867323399e-3, 1e-13);
+  // The base strip: the rectangle to R plus the tail beyond it.
+  const double tail = std::sqrt(std::numbers::pi / 2.0) * std::erfc(kR / std::numbers::sqrt2);
+  EXPECT_NEAR((kR * f(kR) + tail) / kV, 1.0, 1e-12);
+  EXPECT_NEAR(kX[0] * kF[1] / kV, 1.0, 1e-12);
+  for (std::size_t i = 0; i < 256; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_GT(kX[i], kX[i + 1]);
+    EXPECT_NEAR(kF[i] / f(kX[i]), 1.0, 4e-15);
+    EXPECT_EQ(ziggurat::kXScaled[i], kX[i] * 0x1.0p-52);
+    if (i >= 1) {
+      EXPECT_NEAR(kX[i] * (kF[i + 1] - kF[i]) / kV, 1.0, 1e-12);
+    }
+  }
 }
 
 TEST(Bits, BytesToBitsLsbFirst) {
