@@ -21,6 +21,7 @@
 #include "phy/modulation.h"
 #include "phy/ofdm.h"
 #include "phy/workspace.h"
+#include "sim/scheduler.h"
 
 namespace {
 
@@ -442,6 +443,42 @@ void BM_OfdmRoundTripWorkspace(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(ws.capacity_bytes()));
 }
 BENCHMARK(BM_OfdmRoundTripWorkspace);
+
+// Event-queue churn: the queue is held at a fixed depth (64, 4096)
+// while each iteration runs the earliest event, which schedules its
+// successor with a 32-byte capture — the size of the netsim engine's
+// largest actions. Time per iteration is the scheduler's cost per event
+// (pop + dispatch + push), the event-queue layer of a netsim run.
+struct ChurnEvent {
+  sim::Scheduler* sched;
+  Rng* rng;
+  std::uint64_t* fired;
+  double mean_gap_s;
+  void operator()() const {
+    ++*fired;
+    sched->schedule(2.0 * mean_gap_s * rng->uniform(), *this);
+  }
+};
+
+void BM_SchedulerChurn(benchmark::State& state) {
+  static_assert(sizeof(ChurnEvent) == 32);
+  sim::Scheduler sched;
+  Rng rng(7);
+  std::uint64_t fired = 0;
+  const ChurnEvent event{&sched, &rng, &fired, 1e-4};
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sched.schedule(2.0 * event.mean_gap_s * rng.uniform(), event);
+  }
+  for (auto _ : state) {
+    sched.run_until(sched.next_time());
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+  state.counters["ns_per_event"] = benchmark::Counter(
+      static_cast<double>(fired) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SchedulerChurn)->Arg(64)->Arg(4096);
 
 // Observability overhead floors. Disabled = the cost every kernel call
 // pays when profiling is off (one thread-local load + branch for the

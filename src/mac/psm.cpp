@@ -1,6 +1,7 @@
 #include "mac/psm.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -48,10 +49,12 @@ PsmResult simulate_psm(const PsmConfig& config, Rng& rng) {
       const double now = sched.now();
       const double start = std::max(now, busy_until);
       busy_until = deliver_one(now, start);
-      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps), arrive);
+      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps),
+                     [&arrive] { arrive(); });
     };
     if (config.arrival_rate_pps > 0.0) {
-      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps), arrive);
+      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps),
+                     [&arrive] { arrive(); });
     }
     sched.run_until(config.duration_s);
     result.time_idle_s +=
@@ -65,7 +68,8 @@ PsmResult simulate_psm(const PsmConfig& config, Rng& rng) {
 
     std::function<void()> arrive = [&] {
       queue.push_back(sched.now());
-      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps), arrive);
+      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps),
+                     [&arrive] { arrive(); });
     };
     std::function<void()> beacon = [&] {
       const bool listened = (beacon_index % config.listen_interval) == 0;
@@ -81,13 +85,14 @@ PsmResult simulate_psm(const PsmConfig& config, Rng& rng) {
         }
         queue.clear();
       }
-      sched.schedule(config.beacon_interval_s, beacon);
+      sched.schedule(config.beacon_interval_s, [&beacon] { beacon(); });
     };
 
     if (config.arrival_rate_pps > 0.0) {
-      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps), arrive);
+      sched.schedule(rng.exponential(1.0 / config.arrival_rate_pps),
+                     [&arrive] { arrive(); });
     }
-    sched.schedule(0.0, beacon);
+    sched.schedule(0.0, [&beacon] { beacon(); });
     sched.run_until(config.duration_s);
     result.time_doze_s = config.duration_s - awake_accum;
   }

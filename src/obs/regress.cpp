@@ -38,11 +38,14 @@ const JsonValue* find_report(const JsonValue& aggregate, const std::string& id,
   return first_with_id;
 }
 
-/// `kernel_share.*` metrics are kernel seconds per wall second: they move
-/// with host load, lane count and the bench's other flags, not with
-/// behaviour, so a baseline does not pin them.
-bool is_wall_clock_share(const std::string& name) {
-  return name.starts_with("kernel_share.");
+/// Wall-clock readings move with host speed and load, lane count and the
+/// bench's other flags, not with behaviour, so a baseline does not pin
+/// them: the `kernel_share.*` ratios (kernel seconds per wall second) and
+/// EXT-ABS's timed PER lookup and its speedup over the waveform run.
+bool is_wall_clock(const std::string& bench, const std::string& name) {
+  if (name.starts_with("kernel_share.")) return true;
+  return bench == "EXT-ABS" &&
+         (name == "per_lookup_ns" || name == "speedup_vs_waveform");
 }
 
 const char* status_name(MetricDiff::Status s) {
@@ -89,7 +92,7 @@ std::string make_baseline_json(const JsonValue& aggregate, double rel_tol,
         << "\",\n   \"metrics\":[";
     bool first_metric = true;
     for (const auto& [name, value] : report.at("metrics").members()) {
-      if (is_wall_clock_share(name)) continue;
+      if (is_wall_clock(report_id(report), name)) continue;
       if (!first_metric) out << ',';
       first_metric = false;
       out << "\n    {\"name\":\"" << json_escape(name) << "\",\"value\":";

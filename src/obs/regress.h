@@ -73,8 +73,9 @@ struct DiffResult {
 
 /// Renders an aggregate report ("holtwlan-bench-aggregate-v1") into a
 /// fresh baseline document pinning every scalar metric at its current
-/// value under the given default tolerances — except the wall-clock
-/// `kernel_share.*` ratios, which the diff then lists as unpinned.
+/// value under the given default tolerances — except wall-clock readings
+/// (the `kernel_share.*` ratios, EXT-ABS's `per_lookup_ns` and
+/// `speedup_vs_waveform`), which the diff then lists as unpinned.
 std::string make_baseline_json(const JsonValue& aggregate, double rel_tol,
                                double abs_tol);
 

@@ -6,11 +6,18 @@
 // border-exchange engine uses it to apply cross-shard influence records
 // before any local event at the same instant, in every execution mode,
 // so fused and per-shard runs order same-time work identically.
+//
+// The queue never allocates per event: an Action stores its callable
+// inline, and events are plain 64-byte values in a binary heap.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -20,7 +27,44 @@ namespace wlan::sim {
 /// Simulation clock and event queue. Times are in seconds.
 class Scheduler {
  public:
-  using Action = std::function<void()>;
+  /// A scheduled callable, stored inline: one function pointer plus
+  /// kCapacity bytes. It accepts any trivially copyable callable of at
+  /// most kCapacity bytes — in practice a lambda capturing `this`,
+  /// indices, versions and doubles by value. Anything else (a
+  /// std::function, a capture that owns memory such as a vector or
+  /// string) fails to compile, so scheduling never heap-allocates.
+  /// Captured references and pointers must outlive the event. To
+  /// reschedule a std::function (e.g. a self-rescheduling handler),
+  /// capture a reference to it: `sched.schedule(d, [&tick] { tick(); })`.
+  class Action {
+   public:
+    static constexpr std::size_t kCapacity = 32;
+
+    template <class F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, Action>)
+    Action(F f) noexcept {  // implicit: call sites pass bare lambdas
+      static_assert(std::is_trivially_copyable_v<F>,
+                    "Scheduler::Action needs a trivially copyable callable; "
+                    "capture owning objects by reference");
+      static_assert(sizeof(F) <= kCapacity,
+                    "Scheduler::Action callable exceeds its inline storage");
+      std::memcpy(storage_, &f, sizeof(F));
+      // The callable goes in and out as bytes (memcpy / bit_cast), so
+      // the storage needs neither F's alignment nor a live F object.
+      invoke_ = [](const unsigned char* s) {
+        std::array<unsigned char, sizeof(F)> bytes;
+        std::memcpy(bytes.data(), s, sizeof(F));
+        std::bit_cast<F>(bytes)();
+      };
+    }
+
+    void operator()() const { invoke_(storage_); }
+
+   private:
+    void (*invoke_)(const unsigned char*);
+    unsigned char storage_[kCapacity];
+  };
+
   /// Observer invoked after each executed event with the event's time and
   /// the queue depth remaining after it ran.
   using EventHook = std::function<void(double time, std::size_t pending)>;
@@ -54,7 +98,7 @@ class Scheduler {
   std::size_t run();
 
   /// Number of pending events.
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Timestamp of the earliest pending event, or +infinity when the
   /// queue is empty. Lets the epoch driver skip fully idle epochs.
@@ -72,30 +116,32 @@ class Scheduler {
   /// must outlive the scheduler's runs.
   void bind_metrics(obs::Registry& registry);
 
- private:
+  /// One queued event. Ordered by (time, urgent first, seq): seq is
+  /// unique, so the order is total and independent of heap layout.
   struct Event {
     double time;
     int priority;  // 0 = urgent, 1 = normal; urgent first at equal time.
     std::uint64_t seq;
     Action action;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
-    }
-  };
 
+ private:
+  void push(double time, int priority, Action action);
+  template <class Before>
+  std::size_t drain(Before before);
   void after_event();
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> heap_;  // max-heap under "runs later"
   EventHook hook_;
   obs::Counter* executed_counter_ = nullptr;
   obs::Histogram* queue_depth_hist_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<Scheduler::Action>);
+static_assert(std::is_trivially_copyable_v<Scheduler::Event>);
+static_assert(sizeof(Scheduler::Event) == 64);
 
 }  // namespace wlan::sim

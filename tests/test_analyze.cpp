@@ -442,23 +442,37 @@ TEST(BenchDiff, BaselineRoundTripIsClean) {
   EXPECT_EQ(r.compared, 3u);  // NaN pins NaN ("no crossing" stays none)
 }
 
-// Kernel shares are wall-clock ratios: a baseline leaves them unpinned,
-// so a run that reads a very different share still passes the gate.
+// Kernel shares and EXT-ABS's timed lookup are wall-clock readings: a
+// baseline leaves them unpinned, so a run on a slower or busier host
+// still passes the gate, and the diff lists them as unpinned rows.
 TEST(BenchDiff, BaselineLeavesKernelSharesUnpinned) {
   const JsonValue agg = JsonValue::parse(
       R"({"schema":"holtwlan-bench-aggregate-v1","reports":[
            {"id":"C2","verdict":"REPRODUCED",
-            "metrics":{"gain_db":10.4,"kernel_share.fft":0.02}}]})");
+            "metrics":{"gain_db":10.4,"kernel_share.fft":0.02}},
+           {"id":"EXT-ABS","verdict":"REPRODUCED",
+            "metrics":{"rms_per_error":0.046,"per_lookup_ns":6.2,
+                       "speedup_vs_waveform":130000}}]})");
   const std::string base_json = make_baseline_json(agg, 0.25, 1e-9);
   EXPECT_EQ(base_json.find("kernel_share"), std::string::npos);
+  EXPECT_EQ(base_json.find("per_lookup_ns"), std::string::npos);
+  EXPECT_EQ(base_json.find("speedup_vs_waveform"), std::string::npos);
   const JsonValue noisy = JsonValue::parse(
       R"({"schema":"holtwlan-bench-aggregate-v1","reports":[
            {"id":"C2","verdict":"REPRODUCED",
-            "metrics":{"gain_db":10.4,"kernel_share.fft":0.08}}]})");
+            "metrics":{"gain_db":10.4,"kernel_share.fft":0.08}},
+           {"id":"EXT-ABS","verdict":"REPRODUCED",
+            "metrics":{"rms_per_error":0.046,"per_lookup_ns":12.4,
+                       "speedup_vs_waveform":65000}}]})");
   const DiffResult r =
       diff_against_baseline(noisy, JsonValue::parse(base_json), false);
   EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.compared, 1u);
+  EXPECT_EQ(r.compared, 2u);
+  std::size_t unpinned = 0;
+  for (const MetricDiff& row : r.rows) {
+    if (row.status == MetricDiff::Status::kNew) ++unpinned;
+  }
+  EXPECT_EQ(unpinned, 3u);
 }
 
 TEST(BenchDiff, FailsOnPerturbedMetric) {

@@ -1,9 +1,14 @@
 // Tests for the discrete-event scheduler and statistics collectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
 
@@ -44,9 +49,9 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   int count = 0;
   std::function<void()> tick = [&] {
     ++count;
-    if (count < 10) sched.schedule(1.0, tick);
+    if (count < 10) sched.schedule(1.0, [&tick] { tick(); });
   };
-  sched.schedule(1.0, tick);
+  sched.schedule(1.0, [&tick] { tick(); });
   sched.run();
   EXPECT_EQ(count, 10);
   EXPECT_DOUBLE_EQ(sched.now(), 10.0);
@@ -81,6 +86,155 @@ TEST(Scheduler, ScheduleAtPastRejected) {
   sched.schedule(5.0, [] {});
   sched.run();
   EXPECT_THROW(sched.schedule_at(4.0, [] {}), wlan::ContractError);
+}
+
+TEST(Scheduler, UrgentLaneRunsFirstAtEqualTimes) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule_at(1.0, [&] {
+    order.push_back(0);
+    // Scheduled at now() by a running normal event: still runs before
+    // the normal events already pending at this instant.
+    sched.schedule_at_urgent(1.0, [&] { order.push_back(3); });
+  });
+  sched.schedule_at(1.0, [&] { order.push_back(4); });
+  sched.schedule_at_urgent(1.0, [&] { order.push_back(1); });
+  sched.schedule_at_urgent(1.0, [&] { order.push_back(2); });
+  sched.schedule_at_urgent(0.5, [&] { order.push_back(-1); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 1, 2, 0, 3, 4}));
+}
+
+// Actions are stored inline and events are heap-sifted as raw values,
+// so both must stay trivially copyable.
+static_assert(std::is_trivially_copyable_v<Scheduler::Action>);
+static_assert(std::is_trivially_copyable_v<Scheduler::Event>);
+
+// Seeded random scripts against a reference model of the queue
+// contract: whenever the scheduler runs an event, it must be the first
+// pending event of a stable sort by (time, urgent first, scheduling
+// order), and each run segment must stop exactly at its bound. Scripts
+// mix schedule / schedule_at / schedule_at_urgent on a coarse time grid
+// (many equal timestamps), actions that schedule more events at now()
+// (urgent ones included) and interleaved run_before / run_until calls.
+class ContractScript {
+ public:
+  explicit ContractScript(std::uint64_t seed) : rng_(seed) {}
+
+  void run() {
+    double horizon = 0.0;
+    for (int segment = 0; segment < 12; ++segment) {
+      const int outside = static_cast<int>(rng_.uniform_int(6));
+      for (int i = 0; i < outside; ++i) add_random();
+      horizon += kGrid * static_cast<double>(rng_.uniform_int(5));
+      const bool inclusive = rng_.uniform_int(2) == 0;
+      run_segment(horizon, inclusive);
+    }
+    // Drain whatever is left.
+    bound_ = 1e300;
+    inclusive_ = true;
+    const std::size_t ran = sched_.run();
+    EXPECT_EQ(ran, ran_in_segment_);
+    ran_in_segment_ = 0;
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(sched_.pending(), 0u);
+    EXPECT_EQ(executed_, expected_);
+    EXPECT_GT(executed_.size(), 50u);
+  }
+
+ private:
+  struct Pending {
+    double time;
+    int priority;  // 0 = urgent, 1 = normal
+    std::uint64_t id;
+  };
+  static constexpr double kGrid = 0.25;
+  static constexpr std::uint64_t kMaxEvents = 3000;
+
+  void run_segment(double end, bool inclusive) {
+    bound_ = end;
+    inclusive_ = inclusive;
+    const double before = sched_.now();
+    const std::size_t ran =
+        inclusive ? sched_.run_until(end) : sched_.run_before(end);
+    EXPECT_EQ(ran, ran_in_segment_);
+    ran_in_segment_ = 0;
+    // Stopped exactly at the bound: the next pending event is past it.
+    if (!model_.empty()) {
+      const double next = first_pending()->time;
+      EXPECT_EQ(sched_.next_time(), next);
+      EXPECT_TRUE(inclusive ? next > end : next >= end);
+    }
+    if (inclusive) {
+      EXPECT_EQ(sched_.now(), std::max(before, end));
+    }
+  }
+
+  std::vector<Pending>::iterator first_pending() {
+    return std::min_element(
+        model_.begin(), model_.end(), [](const Pending& a, const Pending& b) {
+          if (a.time != b.time) return a.time < b.time;
+          if (a.priority != b.priority) return a.priority < b.priority;
+          return a.id < b.id;
+        });
+  }
+
+  void fire(std::uint64_t id, double time) {
+    EXPECT_EQ(sched_.now(), time);
+    EXPECT_TRUE(inclusive_ ? time <= bound_ : time < bound_);
+    executed_.push_back(id);
+    ++ran_in_segment_;
+    const auto first = first_pending();
+    expected_.push_back(first->id);
+    model_.erase(first);
+    // Children: none, one or two, some of them at now() itself.
+    const int children = static_cast<int>(rng_.uniform_int(3));
+    for (int c = 0; c < children; ++c) add_random();
+  }
+
+  // Schedules one event 0-7 grid steps ahead (at now() a third of the
+  // time) through a randomly chosen entry point.
+  void add_random() {
+    if (next_id_ >= kMaxEvents) return;
+    const std::uint64_t id = next_id_++;
+    const double offset =
+        rng_.uniform_int(3) == 0
+            ? 0.0
+            : kGrid * static_cast<double>(rng_.uniform_int(8));
+    const double t = sched_.now() + offset;
+    const auto action = [this, id, t] { fire(id, t); };
+    switch (rng_.uniform_int(3)) {
+      case 0:
+        model_.push_back({t, 1, id});
+        sched_.schedule(offset, action);
+        break;
+      case 1:
+        model_.push_back({t, 1, id});
+        sched_.schedule_at(t, action);
+        break;
+      default:
+        model_.push_back({t, 0, id});
+        sched_.schedule_at_urgent(t, action);
+        break;
+    }
+  }
+
+  Scheduler sched_;
+  wlan::Rng rng_;
+  std::vector<Pending> model_;
+  std::vector<std::uint64_t> executed_;
+  std::vector<std::uint64_t> expected_;
+  std::uint64_t next_id_ = 0;
+  std::size_t ran_in_segment_ = 0;
+  double bound_ = 0.0;
+  bool inclusive_ = true;
+};
+
+TEST(Scheduler, RandomScriptsMatchReferenceOrder) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    ContractScript(seed).run();
+  }
 }
 
 TEST(Tally, BasicStatistics) {
