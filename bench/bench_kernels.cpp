@@ -14,7 +14,6 @@
 #include "dsp/simd.h"
 #include "linalg/decompose.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 #include "phy/cck.h"
 #include "phy/convolutional.h"
 #include "phy/ldpc.h"
@@ -45,10 +44,10 @@ BENCHMARK(BM_Fft)->Arg(64)->Arg(128)->Arg(1024);
 // The pre-plan radix-2 kernel: bit reversal computed per call and
 // twiddles accumulated incrementally (w *= w_len). Kept here as the
 // reference point for the FftPlan speedup (plans precompute both).
-// Wrapped in the same kernel timer the production path carries, so the
+// Wrapped in the same "fft" span the production path carries, so the
 // comparison matches what the old fft_inplace actually cost.
 void naive_fft(CVec& x) {
-  const obs::ScopedTimer timer(obs::kernel_histogram(obs::Kernel::kFft));
+  const obs::perf::ScopedSpan span("fft");
   const std::size_t n = x.size();
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
@@ -481,30 +480,9 @@ void BM_SchedulerChurn(benchmark::State& state) {
 BENCHMARK(BM_SchedulerChurn)->Arg(64)->Arg(4096);
 
 // Observability overhead floors. Disabled = the cost every kernel call
-// pays when profiling is off (one thread-local load + branch for the
-// span; a null histogram handle for the timer); enabled = the full
-// enter/record/exit path. These bound what instrumenting a hot loop
-// costs before any kernel work happens.
-void BM_ScopedTimerDisabled(benchmark::State& state) {
-  obs::disable_kernel_profiling();
-  for (auto _ : state) {
-    const obs::ScopedTimer timer(obs::kernel_histogram(obs::Kernel::kFft));
-    benchmark::DoNotOptimize(&timer);
-  }
-}
-BENCHMARK(BM_ScopedTimerDisabled);
-
-void BM_ScopedTimerEnabled(benchmark::State& state) {
-  obs::Registry registry;
-  obs::enable_kernel_profiling(registry);
-  for (auto _ : state) {
-    const obs::ScopedTimer timer(obs::kernel_histogram(obs::Kernel::kFft));
-    benchmark::DoNotOptimize(&timer);
-  }
-  obs::disable_kernel_profiling();
-}
-BENCHMARK(BM_ScopedTimerEnabled);
-
+// pays when profiling is off (one thread-local load + branch); enabled
+// = the full enter/record/exit path. These bound what instrumenting a
+// hot loop costs before any kernel work happens.
 void BM_ScopedSpanDisabled(benchmark::State& state) {
   obs::perf::disable_span_profiling();
   for (auto _ : state) {

@@ -7,33 +7,39 @@
 // Machine-readable output: every bench's main() starts with
 // `benchutil::args(argc, argv)`. With `--json <path>` the run also
 // writes a structured report at exit — claim id, recorded series and
-// scalar metrics, verdict, wall-time histograms of the hot kernels
-// (FFT, Viterbi, LDPC, fading taps; profiled automatically when --json
-// is on), pool telemetry (a "par" section: utilization, lane-busy
-// imbalance, steal counters), and the PHY link-quality probes (EVM,
-// post-equalizer SNR, |LLR|) for benches that exercise a receive
-// chain. scripts/run_benches.sh aggregates these into BENCH_<tag>.json.
+// scalar metrics, verdict, call counts and wall-time shares of the hot
+// kernels (FFT, Viterbi, LDPC, fading taps; summed from the span
+// profiler, which --json arms), pool telemetry (a "par" section:
+// utilization, lane-busy imbalance, steal counters), and the PHY
+// link-quality probes (EVM, post-equalizer SNR, |LLR|) for benches that
+// exercise a receive chain. scripts/run_benches.sh aggregates these
+// into BENCH_<tag>.json.
 //
-// `--profile [path]` arms the hierarchical span profiler (obs/perf.h):
-// the whole run executes under a root "bench" span, and at exit the
-// merged span tree is written as collapsed stacks (flamegraph.pl /
-// speedscope) to `path` — default <json>.folded next to the --json
-// report, else profile.folded — plus a "spans" array in the JSON and
-// nested slices appended to the --chrome-trace document when present.
+// `--profile [path]` also arms the hierarchical span profiler
+// (obs/perf.h) and exports it: the whole run executes under a root
+// "bench" span, and at exit the merged span tree is written as
+// collapsed stacks (flamegraph.pl / speedscope) to `path` — default
+// <json>.folded next to the --json report, else profile.folded — plus a
+// "spans" array in the JSON and nested slices appended to the
+// --chrome-trace document when present.
 //
 // `--chrome-trace <path>` hands the bench a ChromeTraceSink (via
 // `chrome_trace()`); simulator benches pass it to their representative
 // run so the timeline can be opened in Perfetto / chrome://tracing.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,7 +48,6 @@
 #include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/probe.h"
-#include "obs/timer.h"
 #include "par/pool.h"
 
 namespace wlan::benchutil {
@@ -55,6 +60,13 @@ struct Series {
   std::vector<double> x;
   std::vector<double> y;
 };
+
+/// Leaf span names of the hot kernels. Each is reported as
+/// kernel_share.<name> and as "kernel.<name>" in the "kernels" array,
+/// summed over every path the span occurs under.
+inline constexpr const char* kKernelSpans[] = {
+    "fft",           "viterbi",    "ldpc_decode", "fading_taps",
+    "viterbi_batch", "ldpc_batch", "viterbi_i16", "ldpc_i16"};
 
 /// Accumulated report state for the running bench (one per process).
 struct Report {
@@ -71,14 +83,14 @@ struct Report {
   bool has_verdict = false;
   bool ok = false;
   std::string verdict_detail;
-  obs::Registry registry;  // kernel-profiling + probe histograms live here
+  obs::Registry registry;  // probe histograms + published telemetry
   std::string chrome_trace_path;
   std::unique_ptr<obs::ChromeTraceSink> chrome;  // closed by ~Report
   bool latency = false;    // --latency: frame-lifecycle instrumentation on
   std::size_t batch = 0;   // --batch [n]: trial-batched runners, n lanes
   bool quantized = false;  // --quantized: int16 decoder fast paths
   std::size_t overlap = 0; // --overlap [grid]: one-component border city
-  bool profile = false;    // --profile: span profiler armed
+  bool profile = false;    // --profile: span profile exported
   std::string profile_path;       // folded-stack output ("" = derived)
   obs::perf::SpanProfile spans;   // merged span tree (all threads)
   // Root "bench" span covering args() .. write_report(); its total then
@@ -104,7 +116,9 @@ inline void write_report() {
   // wall time, then disarm: nothing below records new spans, and the
   // main thread's collector flushes into r.spans.
   r.root_span.reset();
-  if (r.profile) obs::perf::disable_span_profiling();
+  obs::perf::disable_span_profiling();
+  const std::map<std::string, obs::perf::SpanStats> span_rows =
+      r.spans.spans();
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - r.start)
                             .count();
@@ -151,19 +165,27 @@ inline void write_report() {
     r.sinks.emplace_back("chrome_trace", r.chrome->dropped());
   }
 
+  // Per-kernel totals: calls and inclusive time of every span row whose
+  // leaf name is the kernel's, summed over all paths.
+  std::array<obs::perf::SpanStats, std::size(kKernelSpans)> kernels{};
+  for (const auto& [path, st] : span_rows) {
+    const std::size_t semi = path.rfind(';');
+    const std::string_view leaf =
+        std::string_view(path).substr(semi == std::string::npos ? 0 : semi + 1);
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      if (leaf == kKernelSpans[k]) kernels[k].add(st);
+    }
+  }
+
   // Kernel wall-share: total seconds inside each hot kernel per second
   // of wall time, summed across lanes (can exceed 1 with --jobs > 1).
-  // New metrics are informational in the regression gate until a
-  // baseline refresh pins them.
+  // The regression gate treats kernel_share.* as informational.
   if (wall_s > 0.0) {
-    for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
-      const auto kernel = static_cast<obs::Kernel>(k);
-      const obs::Histogram* h =
-          r.registry.find_histogram(obs::kernel_metric_name(kernel));
-      if (!h || h->count() == 0) continue;
-      const char* name = obs::kernel_metric_name(kernel);  // "kernel.<x>"
-      r.metrics.emplace_back(std::string("kernel_share.") + (name + 7),
-                             h->sum() / wall_s);
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      if (kernels[k].calls == 0) continue;
+      r.metrics.emplace_back(std::string("kernel_share.") + kKernelSpans[k],
+                             static_cast<double>(kernels[k].total_ns) * 1e-9 /
+                                 wall_s);
     }
   }
 
@@ -259,24 +281,14 @@ inline void write_report() {
   }
   out << "},\"kernels\":[";
   bool first = true;
-  for (std::size_t k = 0; k < obs::kKernelCount; ++k) {
-    const auto kernel = static_cast<obs::Kernel>(k);
-    const obs::Histogram* h =
-        r.registry.find_histogram(obs::kernel_metric_name(kernel));
-    if (!h || h->count() == 0) continue;
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    if (kernels[k].calls == 0) continue;
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"" << obs::kernel_metric_name(kernel)
-        << "\",\"count\":" << h->count() << ",\"mean_s\":";
-    json_number(out, h->mean());
-    out << ",\"p50_s\":";
-    json_number(out, h->percentile(50.0));
-    out << ",\"p90_s\":";
-    json_number(out, h->percentile(90.0));
-    out << ",\"p99_s\":";
-    json_number(out, h->percentile(99.0));
-    out << ",\"max_s\":";
-    json_number(out, h->max());
+    out << "{\"name\":\"kernel." << kKernelSpans[k]
+        << "\",\"count\":" << kernels[k].calls << ",\"mean_s\":";
+    json_number(out, static_cast<double>(kernels[k].total_ns) * 1e-9 /
+                         static_cast<double>(kernels[k].calls));
     out << '}';
   }
   out << ']';
@@ -311,7 +323,7 @@ inline void write_report() {
   if (r.profile) {
     out << ",\"spans\":[";
     bool first_span = true;
-    for (const auto& [path, st] : r.spans.spans()) {
+    for (const auto& [path, st] : span_rows) {
       if (!first_span) out << ',';
       first_span = false;
       out << "{\"path\":\"" << json_escape(path)
@@ -327,15 +339,15 @@ inline void write_report() {
 }
 
 /// Parses bench CLI flags: `--json <path>` (write the structured report
-/// there; also enables kernel profiling, pool telemetry, and the PHY
-/// probes), `--profile [path]` (arm the span profiler and kernel
-/// profiling; write collapsed stacks to `path`, default <json>.folded
-/// or profile.folded), `--chrome-trace <path>` (arm `chrome_trace()`
-/// with a ChromeTraceSink writing there), `--jobs <n>` (worker lanes
-/// for the Monte-Carlo pool; default hardware_concurrency, 1 = fully
-/// serial; results are identical either way), and `--latency` (arm the
-/// frame-lifecycle instrumentation; see latency()). Call first thing in
-/// main().
+/// there; also arms the span profiler for the kernel rows, pool
+/// telemetry, and the PHY probes), `--profile [path]` (arm the span
+/// profiler and export it: collapsed stacks to `path`, default
+/// <json>.folded or profile.folded), `--chrome-trace <path>` (arm
+/// `chrome_trace()` with a ChromeTraceSink writing there), `--jobs <n>`
+/// (worker lanes for the Monte-Carlo pool; default
+/// hardware_concurrency, 1 = fully serial; results are identical either
+/// way), and `--latency` (arm the frame-lifecycle instrumentation; see
+/// latency()). Call first thing in main().
 inline void args(int argc, char** argv) {
   Report& r = report();
   r.start = std::chrono::steady_clock::now();
@@ -389,12 +401,9 @@ inline void args(int argc, char** argv) {
   // the process-wide collector arena, and later-registered exit handlers
   // run first — write_report can then still close the root span and
   // drain the main thread's collector.
-  if (r.profile) {
+  if (!r.json_path.empty() || r.profile) {
     obs::perf::enable_span_profiling(r.spans);
     r.root_span = std::make_unique<obs::perf::ScopedSpan>("bench");
-  }
-  if (!r.json_path.empty() || r.profile) {
-    obs::enable_kernel_profiling(r.registry);
     par::set_telemetry_enabled(true);
     std::atexit(write_report);
   }

@@ -73,7 +73,10 @@ void drain_node(SpanNode* node, const std::string& path, SpanProfile& target) {
 
 void SpanCollector::drain_into(SpanProfile& target, const std::string& prefix) {
   SpanNode* r = root();
-  r->stats = SpanStats{};  // depth-0 closes accumulate child_ns here; discard
+  // Depth-0 closes accumulate child_ns/child_allocs on the root sentinel.
+  // Grafted under a caller's span, that is the caller's child time.
+  if (!prefix.empty() && r->stats.any()) target.add(prefix, r->stats);
+  r->stats = SpanStats{};
   for (SpanNode* child : r->children) {
     std::string path = prefix;
     if (!path.empty()) path += ';';

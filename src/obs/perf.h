@@ -1,5 +1,5 @@
-// Hierarchical span profiler (wlan::obs::perf) and the shared per-thread
-// profiling slots.
+// Hierarchical span profiler (wlan::obs::perf): the one timing mechanism
+// of the library.
 //
 // ScopedSpan opens a named node on the calling thread's span stack; on
 // close it adds the elapsed wall time to the node and to its parent's
@@ -15,11 +15,14 @@
 // instruments use).
 //
 // Zero cost when disabled: an un-armed thread pays one thread-local load
-// and a branch per span — the same null-check discipline as ScopedTimer.
-// The thread-local state is one zero-initialized POD (PerfTls) with
-// initial-exec TLS, so the hot path has no TLS init guard and no
-// __tls_get_addr call; kernel_histogram (obs/timer.h) is a branch-free
-// indexed load from the same block.
+// and a branch per span. The thread-local state is one zero-initialized
+// POD (PerfTls) with initial-exec TLS, so the hot path has no TLS init
+// guard and no __tls_get_addr call.
+//
+// The hot kernels (fft, viterbi, ldpc_decode, fading_taps and the
+// batched/int16 decoders) are ordinary spans; bench reports derive
+// per-kernel call counts and time shares by summing the rows whose leaf
+// name is the kernel's, over every path.
 //
 // Exports: write_folded emits collapsed stacks ("a;b;c <self_ns>") that
 // flamegraph.pl and speedscope ingest directly; parse_folded reads them
@@ -38,7 +41,6 @@
 // made inside it, with the same self/child split as wall time.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -49,26 +51,7 @@
 
 #include "obs/metrics.h"
 
-namespace wlan::obs {
-
-/// The instrumented hot kernels (slots live in perf::detail::PerfTls;
-/// the ScopedTimer front end is in obs/timer.h).
-enum class Kernel : std::size_t {
-  kFft,
-  kViterbi,
-  kLdpcDecode,
-  kFadingTaps,
-  kViterbiBatch,   ///< trial-batched double-precision Viterbi ACS
-  kLdpcBatch,      ///< trial-batched double-precision min-sum LDPC
-  kViterbiQuant,   ///< trial-batched int16 Viterbi ACS
-  kLdpcQuant,      ///< trial-batched int8/int16 min-sum LDPC
-};
-inline constexpr std::size_t kKernelCount = 8;
-
-/// Registry metric name, e.g. "kernel.fft".
-const char* kernel_metric_name(Kernel kernel);
-
-namespace perf {
+namespace wlan::obs::perf {
 
 /// Injectable clock: returns a monotonic tick in nanoseconds.
 using TickFn = std::uint64_t (*)();
@@ -182,20 +165,19 @@ class SpanCollector {
   SpanNode* enter(SpanNode* parent, const char* name);
   /// Folds every node with nonzero stats into `target`, prefixing each
   /// path with `prefix` (";"-joined when both nonempty), then zeroes the
-  /// stats. Node structure is retained for reuse.
+  /// stats. A nonempty `prefix` names the open span the drained tree is
+  /// grafted under; its row is credited with the tree's depth-0 time as
+  /// child time, so that span's self time excludes the grafted work.
+  /// Node structure is retained for reuse.
   void drain_into(SpanProfile& target, const std::string& prefix);
 
  private:
   std::deque<SpanNode> nodes_;  // stable addresses; nodes_[0] is the root
 };
 
-/// The combined per-thread profiling block: kernel histogram slots
-/// (obs/timer.h's ScopedTimer front end) and the span-profiler arming.
-/// Plain zero-initialized POD with initial-exec TLS so reads compile to
-/// a guard-free %fs-relative load.
+/// The per-thread span-profiler arming. Plain zero-initialized POD with
+/// initial-exec TLS so reads compile to a guard-free %fs-relative load.
 struct PerfTls {
-  std::array<Histogram*, kKernelCount> kernel_hist;
-  Registry* kernel_registry;
   SpanCollector* collector;  ///< non-null while span profiling is armed
   SpanNode* current;         ///< innermost open span (collector root if none)
   SpanProfile* target;       ///< where this thread's spans drain
@@ -284,5 +266,4 @@ void set_tick_source_for_testing(TickFn fn) noexcept;
 /// SpanStats::allocs (null disables). Set before arming any thread.
 void set_alloc_source(AllocFn fn) noexcept;
 
-}  // namespace perf
-}  // namespace wlan::obs
+}  // namespace wlan::obs::perf

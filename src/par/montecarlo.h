@@ -10,22 +10,18 @@
 // are reduced in chunk-index order on the calling thread, so even
 // non-associative floating-point reductions are schedule-independent.
 //
-// Kernel profiling (obs/timer.h) is sharded automatically: when the
-// calling thread has profiling armed, each chunk records into a private
-// shard registry that is merged into the caller's profiling registry
-// (mutex-guarded) as the chunk retires. Worker threads never touch the
-// caller's histograms directly.
-//
-// Span profiling (obs/perf.h) shards the same way: when the calling
-// thread has span profiling armed, each chunk arms the executing
+// Span profiling (obs/perf.h) is sharded automatically: when the
+// calling thread has span profiling armed, each chunk arms the executing
 // thread's shard collector, opens an "mc.chunk" (or "mc.map") span, and
 // drains the shard into the caller's SpanProfile as the chunk retires —
 // prefixed with the caller's open span path captured before fan-out, so
-// worker spans graft under the sweep's call site. SpanProfile rows are
-// integer counters merged by commutative addition and published in
-// sorted path order, so the merged profile is bitwise identical for any
-// --jobs. With par::telemetry_enabled() the chunk loop also records
-// per-chunk wall times into par::chunk_stats().
+// worker spans graft under the sweep's call site, and the caller's span
+// counts the grafted chunk time as child time. Worker threads never
+// touch the caller's collector. SpanProfile rows are integer counters
+// merged by commutative addition and published in sorted path order, so
+// the merged profile is bitwise identical for any --jobs. With
+// par::telemetry_enabled() the chunk loop also records per-chunk wall
+// times into par::chunk_stats().
 #pragma once
 
 #include <algorithm>
@@ -39,7 +35,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "par/pool.h"
 
@@ -78,21 +73,18 @@ struct SweepOptions {
 namespace detail {
 
 /// Profiling destinations captured on the sweep-initiating thread
-/// before fan-out: the kernel-histogram registry, the span profile, and
-/// the caller's open span path (worker chunk spans graft under it).
+/// before fan-out: the span profile and the caller's open span path
+/// (worker chunk spans graft under it).
 struct ProfileTargets {
-  obs::Registry* registry = nullptr;
   obs::perf::SpanProfile* spans = nullptr;
   std::string prefix;
-  bool active() const { return registry != nullptr || spans != nullptr; }
 };
 
-/// Arms thread-local kernel and span profiling at private per-thread
-/// shards for the guard's lifetime (no-op when `targets` is inactive);
-/// on destruction restores the previous arming, merges the kernel shard
-/// into targets.registry under a global mutex, and drains the span
-/// shard into targets.spans with targets.prefix. `targets` must outlive
-/// the guard (the sweep templates keep it alive across parallel_for).
+/// Arms span profiling at the executing thread's shard collector for the
+/// guard's lifetime (no-op when targets.spans is null); on destruction
+/// drains the shard into targets.spans under targets.prefix and restores
+/// the previous arming. `targets` must outlive the guard (the sweep
+/// templates keep it alive across parallel_for).
 class ProfileShardGuard {
  public:
   explicit ProfileShardGuard(const ProfileTargets& targets);
@@ -101,8 +93,8 @@ class ProfileShardGuard {
   ProfileShardGuard& operator=(const ProfileShardGuard&) = delete;
 
  private:
-  struct Impl;
-  Impl* impl_ = nullptr;
+  const ProfileTargets* targets_ = nullptr;  // null when inactive
+  obs::perf::detail::PerfTls saved_{};
 };
 
 /// The profiling targets armed on the calling thread (inactive when
@@ -256,61 +248,6 @@ std::vector<Result> sweep(std::size_t n_points, std::size_t n_trials,
         for (std::size_t t = t0; t < t1; ++t) {
           Rng rng = trial_rng(opt.root_seed, point, t);
           trial(point, t, rng, acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  std::vector<Result> out(n_points);
-  for (std::size_t p = 0; p < n_points; ++p) {
-    for (std::size_t c = 0; c < chunks_per_point; ++c) {
-      merge(out[p], partial[p * chunks_per_point + c]);
-    }
-  }
-  return out;
-}
-
-/// Batched variant of sweep(): groups of up to `batch` trials per
-/// point, with the montecarlo_batched() group contract and the sweep()
-/// guarantees (chunks group-aligned and never straddling points).
-template <class Result, class GroupFn, class MergeFn>
-std::vector<Result> sweep_batched(std::size_t n_points, std::size_t n_trials,
-                                  std::size_t batch, const SweepOptions& opt,
-                                  GroupFn&& group, MergeFn&& merge) {
-  check(n_points > 0 && n_trials > 0,
-        "par::sweep_batched requires points and trials");
-  check(batch >= 1 && batch <= kMaxBatch,
-        "par::sweep_batched batch size out of range");
-  const std::size_t chunk0 =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
-  const std::size_t chunks_per_point = (n_trials + chunk - 1) / chunk;
-  const std::size_t total = n_points * chunks_per_point;
-  std::vector<Result> partial(total);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(total, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t point = c / chunks_per_point;
-        const std::size_t t0 = (c % chunks_per_point) * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        std::array<Rng, kMaxBatch> rngs;
-        for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
-          const std::size_t n_g = std::min(batch, t1 - g0);
-          for (std::size_t i = 0; i < n_g; ++i) {
-            rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
-          }
-          group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
         }
         partial[c] = std::move(acc);
       }

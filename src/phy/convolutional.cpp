@@ -10,7 +10,6 @@
 #include "dsp/simd.h"
 #include "dsp/simd_int.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 #include "phy/workspace.h"
 
 namespace wlan::phy {
@@ -191,8 +190,6 @@ const VecTrellis& vec_trellis() {
 
 void viterbi_decode_into(std::span<const double> llrs, bool terminated,
                          Bits& decoded, Workspace& ws) {
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kViterbi));
   const obs::perf::ScopedSpan span("viterbi");
   check(llrs.size() % 2 == 0, "viterbi_decode requires an even LLR count");
   const std::size_t n_steps = llrs.size() / 2;
@@ -383,8 +380,6 @@ void viterbi_decode_batch_into(std::span<const double> llrs_soa,
     return;
   }
 
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kViterbiBatch));
   const obs::perf::ScopedSpan span("viterbi_batch");
   using dsp::simd::DVec;
   constexpr double kUnreachable = -1e300;
@@ -457,8 +452,6 @@ void viterbi_decode_batch_i16_into(std::span<const double> llrs_soa,
                                    std::size_t lanes, bool terminated,
                                    double scale, Bits& decoded_soa,
                                    Workspace& ws) {
-  const obs::ScopedTimer timer(
-      obs::kernel_histogram(obs::Kernel::kViterbiQuant));
   const obs::perf::ScopedSpan span("viterbi_i16");
   check(lanes > 0 && lanes <= 16,
         "viterbi_decode_batch_i16 requires 1..16 lanes");

@@ -1,5 +1,5 @@
 // Tests for the observability layer: metrics registry, trace sinks,
-// scoped timers, scheduler instrumentation, and reconciliation of the
+// scheduler instrumentation, and reconciliation of the
 // network simulator's trace stream against its counters.
 #include <gtest/gtest.h>
 
@@ -12,11 +12,9 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "dsp/fft.h"
 #include "net/netsim.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/scheduler.h"
 #include "sim/stats.h"
@@ -366,43 +364,6 @@ TEST(TraceSink, EventNamesAreStable) {
   EXPECT_STREQ(obs::event_name(obs::EventType::kNavSet), "NAV_SET");
   EXPECT_STREQ(obs::event_name(obs::EventType::kBackoffFreeze),
                "BACKOFF_FREEZE");
-}
-
-// ---- timers and the kernel profiler ----
-
-TEST(ScopedTimer, RecordsPositiveElapsedIntoHistogram) {
-  obs::Histogram h(1e-9, 10.0, 32);
-  {
-    obs::ScopedTimer timer(&h);
-    volatile double x = 0.0;
-    for (int i = 0; i < 1000; ++i) x = x + 1.0;
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GT(h.max(), 0.0);
-}
-
-TEST(ScopedTimer, NullHistogramIsANoOp) {
-  const obs::ScopedTimer timer(nullptr);  // must not crash or record
-}
-
-TEST(KernelProfiler, DisabledByDefaultEnabledOnDemand) {
-  obs::disable_kernel_profiling();
-  EXPECT_FALSE(obs::kernel_profiling_enabled());
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-
-  obs::Registry reg;
-  obs::enable_kernel_profiling(reg);
-  EXPECT_TRUE(obs::kernel_profiling_enabled());
-  ASSERT_NE(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-
-  // A real FFT lands samples in the armed slot.
-  CVec buf(64, {1.0, 0.0});
-  dsp::fft_inplace(buf);
-  EXPECT_GE(obs::kernel_histogram(obs::Kernel::kFft)->count(), 1u);
-  EXPECT_NE(reg.find_histogram("kernel.fft"), nullptr);
-
-  obs::disable_kernel_profiling();
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
 }
 
 // ---- scheduler instrumentation ----

@@ -16,7 +16,7 @@
 #include "common/units.h"
 #include "core/link.h"
 #include "net/netsim.h"
-#include "obs/timer.h"
+#include "obs/perf.h"
 #include "par/montecarlo.h"
 #include "par/pool.h"
 #include "phy/convolutional.h"
@@ -164,14 +164,15 @@ TEST(Montecarlo, LdpcSweepBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// Kernel profiling during a parallel sweep: every decode lands in the
-// initiator's registry via the shard merge — same event counts whether
-// the trials ran on 1 or 8 lanes (wall times differ; counts cannot).
+// Span profiling during a parallel sweep: every decode's "ldpc_decode"
+// span lands in the initiator's profile via the shard drains — same call
+// counts whether the trials ran on 1 or 8 lanes (wall times differ;
+// counts cannot).
 TEST(Montecarlo, ProfilingShardCountsIndependentOfThreadCount) {
   const phy::LdpcCode code(128, 64, 5);
   auto count_decodes = [&](unsigned jobs) {
-    obs::Registry reg;
-    obs::enable_kernel_profiling(reg);
+    obs::perf::SpanProfile profile;
+    obs::perf::enable_span_profiling(profile);
     par::SweepOptions opt;
     opt.jobs = jobs;
     par::montecarlo<int>(
@@ -182,10 +183,12 @@ TEST(Montecarlo, ProfilingShardCountsIndependentOfThreadCount) {
           code.decode(llrs, 5);
         },
         [](int&, const int&) {});
-    obs::disable_kernel_profiling();
-    const obs::Histogram* h = reg.find_histogram(
-        obs::kernel_metric_name(obs::Kernel::kLdpcDecode));
-    return h ? h->count() : 0;
+    obs::perf::disable_span_profiling();
+    std::uint64_t calls = 0;
+    for (const auto& [path, stats] : profile.spans()) {
+      if (path.ends_with(";ldpc_decode")) calls += stats.calls;
+    }
+    return calls;
   };
   const auto serial = count_decodes(1);
   EXPECT_EQ(serial, 40u);

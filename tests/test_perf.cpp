@@ -16,7 +16,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
-#include "obs/timer.h"
 #include "par/montecarlo.h"
 #include "par/pool.h"
 #include "support/alloc_hook.h"
@@ -47,7 +46,6 @@ class PerfGuard {
     obs::perf::disable_span_profiling();
     obs::perf::set_tick_source_for_testing(nullptr);
     obs::perf::set_alloc_source(nullptr);
-    obs::disable_kernel_profiling();
     par::set_telemetry_enabled(false);
   }
 };
@@ -202,9 +200,10 @@ TEST(SpanProfile, MergedProfileIdenticalAcrossJobs) {
 }
 
 // Worker chunk spans graft under the caller's open span path captured
-// before fan-out.
+// before fan-out, and the caller's row counts them as child time.
 TEST(SpanProfile, ChunkSpansGraftUnderCallerPath) {
   PerfGuard guard;
+  obs::perf::set_tick_source_for_testing(&fake_tick);
   SpanProfile profile;
   obs::perf::enable_span_profiling(profile);
   {
@@ -228,6 +227,46 @@ TEST(SpanProfile, ChunkSpansGraftUnderCallerPath) {
   ASSERT_EQ(rows.count("outer;mc.chunk;trial"), 1u);
   EXPECT_EQ(rows.at("outer;mc.chunk").calls, 4u);
   EXPECT_EQ(rows.at("outer;mc.chunk;trial").calls, 16u);
+  EXPECT_GT(rows.at("outer;mc.chunk").total_ns, 0u);
+  EXPECT_EQ(rows.at("outer").child_ns, rows.at("outer;mc.chunk").total_ns);
+}
+
+// Profiles close: on one lane the chunks run inline inside the caller's
+// span, so the folded self times sum to exactly the root's total; on N
+// lanes they sum to at most N times it.
+TEST(SpanProfile, FoldedSelfTimeClosesOnRootTotal) {
+  PerfGuard guard;
+  const auto run = [](unsigned jobs) {
+    SpanProfile profile;
+    obs::perf::enable_span_profiling(profile);
+    {
+      const ScopedSpan outer("outer");
+      par::SweepOptions opt;
+      opt.jobs = jobs;
+      opt.chunk = 4;
+      par::montecarlo<double>(
+          64, 0, opt,
+          [](std::uint64_t, std::size_t, Rng& rng, double& acc) {
+            const ScopedSpan span("trial");
+            for (int i = 0; i < 200; ++i) acc += rng.uniform();
+          },
+          [](double& acc, const double& part) { acc += part; });
+    }
+    obs::perf::disable_span_profiling();
+    std::uint64_t self = 0;
+    for (const auto& [path, stats] : profile.spans()) self += stats.self_ns();
+    return std::make_pair(self, profile.root_total_ns());
+  };
+
+  obs::perf::set_tick_source_for_testing(&fake_tick);
+  const auto one_lane = run(1);
+  EXPECT_GT(one_lane.second, 0u);
+  EXPECT_EQ(one_lane.first, one_lane.second);
+
+  obs::perf::set_tick_source_for_testing(nullptr);
+  const auto four_lanes = run(4);
+  EXPECT_GT(four_lanes.second, 0u);
+  EXPECT_LE(four_lanes.first, 4 * four_lanes.second);
 }
 
 // par::map opens "mc.map" spans and counts one chunk per item.
@@ -355,22 +394,6 @@ TEST(SpanAllocs, WarmMonteCarloChunksDoNotAllocate) {
     EXPECT_EQ(stats.allocs, 0u) << path;
   }
   EXPECT_TRUE(saw_chunk);
-}
-
-// The rewired kernel-timer front end: histograms live in the shared
-// PerfTls block, and ScopedTimer still records through them.
-TEST(KernelProfiling, TimerRecordsThroughTlsSlots) {
-  PerfGuard guard;
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  obs::Registry registry;
-  obs::enable_kernel_profiling(registry);
-  ASSERT_NE(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  { const obs::ScopedTimer t(obs::kernel_histogram(obs::Kernel::kFft)); }
-  obs::disable_kernel_profiling();
-  EXPECT_EQ(obs::kernel_histogram(obs::Kernel::kFft), nullptr);
-  const obs::Histogram* h = registry.find_histogram("kernel.fft");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), 1u);
 }
 
 // Perfetto appendix: the span tree lands as complete slices on the
