@@ -25,11 +25,13 @@ int main(int argc, char** argv) {
   Rng rng(4);
   const std::size_t psdu = 500;
   const std::size_t packets = 40;
-  // --batch: same experiment through the trial-batched runner (bitwise
-  // identical series, faster wall). --quantized additionally re-runs
-  // every cell on the int16 decoders from a paired seed and reports the
-  // worst PER divergence (the bench_diff gate metric).
+  // --batch: the runner's SIMD group width (1 lane without it; series
+  // are the same at every width, only wall time moves). --quantized
+  // additionally re-runs every cell on the int16 decoders from a paired
+  // seed and reports the worst PER divergence (the bench_diff gate
+  // metric).
   const std::size_t batch = bu::batch_lanes();
+  const std::size_t lanes = std::max<std::size_t>(batch, 1);
   const bool quant = batch != 0 && bu::quantized();
   // The int16 kernels vectorize when the lane count is a multiple of the
   // int16 SIMD width, and their output is deterministic across lane
@@ -55,19 +57,14 @@ int main(int argc, char** argv) {
   for (const double snr : snrs) {
     std::printf("%9.1f", snr);
     for (std::size_t m = 0; m < phy::kAllOfdmMcs.size(); ++m) {
-      LinkResult r;
-      if (batch) {
-        Rng qrng = rng;  // paired seed for the quantized re-run
-        r = run_ofdm_link_batched(phy::kAllOfdmMcs[m], psdu, packets, snr,
-                                  rng, {batch, false});
-        if (quant) {
-          const LinkResult q = run_ofdm_link_batched(
-              phy::kAllOfdmMcs[m], psdu, packets, snr, qrng, {qlanes, true});
-          quant_delta_max =
-              std::max(quant_delta_max, std::abs(q.per() - r.per()));
-        }
-      } else {
-        r = run_ofdm_link(phy::kAllOfdmMcs[m], psdu, packets, snr, rng);
+      Rng qrng = rng;  // paired seed for the quantized re-run
+      const LinkResult r = run_ofdm_link_batched(
+          phy::kAllOfdmMcs[m], psdu, packets, snr, rng, {lanes, false});
+      if (quant) {
+        const LinkResult q = run_ofdm_link_batched(
+            phy::kAllOfdmMcs[m], psdu, packets, snr, qrng, {qlanes, true});
+        quant_delta_max =
+            std::max(quant_delta_max, std::abs(q.per() - r.per()));
       }
       per[m].push_back(r.per());
       std::printf(" %8.2f", r.per());

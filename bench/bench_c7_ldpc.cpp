@@ -117,10 +117,12 @@ int main(int argc, char** argv) {
   std::vector<double> per_bcc;
   std::vector<double> per_ldpc;
   std::printf("%10s %10s %10s\n", "SNR(dB)", "BCC", "LDPC");
-  // --batch: the trial-batched runner is bitwise identical to the scalar
-  // one; --quantized re-runs each point from a paired seed on the int16
-  // decoders and records the worst PER divergence.
+  // --batch: the runner's SIMD group width (1 lane without it; PER is
+  // the same at every width); --quantized re-runs each point from a
+  // paired seed on the int16 decoders and records the worst PER
+  // divergence.
   const std::size_t batch = bu::batch_lanes();
+  const std::size_t lanes = std::max<std::size_t>(batch, 1);
   const bool quant = batch != 0 && bu::quantized();
   // Quantized re-runs widen to a multiple of the int16 SIMD width (the
   // int16 kernels are deterministic across lane counts, and more lanes
@@ -135,33 +137,26 @@ int main(int argc, char** argv) {
     bcc.mcs = 3;
     phy::HtConfig ldpc = bcc;
     ldpc.coding = phy::HtCoding::kLdpc;
-    LinkResult rb;
-    LinkResult rl;
-    if (batch) {
-      Rng qb = rng;
-      rb = run_ht_link_batched(bcc, 400, 150, snr, rng, {batch, false},
-                               channel::DelayProfile::kOffice);
-      if (quant) {
-        const LinkResult q = run_ht_link_batched(
-            bcc, 400, 150, snr, qb, {qlanes, true},
-            channel::DelayProfile::kOffice);
-        quant_delta_max =
-            std::max(quant_delta_max, std::abs(q.per() - rb.per()));
-      }
-      Rng ql = rng;
-      rl = run_ht_link_batched(ldpc, 400, 150, snr, rng, {batch, false},
-                               channel::DelayProfile::kOffice);
-      if (quant) {
-        const LinkResult q = run_ht_link_batched(
-            ldpc, 400, 150, snr, ql, {qlanes, true},
-            channel::DelayProfile::kOffice);
-        quant_delta_max =
-            std::max(quant_delta_max, std::abs(q.per() - rl.per()));
-      }
-    } else {
-      rb = run_ht_link(bcc, 400, 150, snr, rng, channel::DelayProfile::kOffice);
-      rl = run_ht_link(ldpc, 400, 150, snr, rng,
-                       channel::DelayProfile::kOffice);
+    Rng qb = rng;
+    const LinkResult rb = run_ht_link_batched(
+        bcc, 400, 150, snr, rng, {lanes, false}, channel::DelayProfile::kOffice);
+    if (quant) {
+      const LinkResult q = run_ht_link_batched(
+          bcc, 400, 150, snr, qb, {qlanes, true},
+          channel::DelayProfile::kOffice);
+      quant_delta_max =
+          std::max(quant_delta_max, std::abs(q.per() - rb.per()));
+    }
+    Rng ql = rng;
+    const LinkResult rl = run_ht_link_batched(
+        ldpc, 400, 150, snr, rng, {lanes, false},
+        channel::DelayProfile::kOffice);
+    if (quant) {
+      const LinkResult q = run_ht_link_batched(
+          ldpc, 400, 150, snr, ql, {qlanes, true},
+          channel::DelayProfile::kOffice);
+      quant_delta_max =
+          std::max(quant_delta_max, std::abs(q.per() - rl.per()));
     }
     snrs.push_back(snr);
     per_bcc.push_back(rb.per());

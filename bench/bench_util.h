@@ -416,9 +416,9 @@ inline void args(int argc, char** argv) {
 /// series, and the invariant-auditor breach count in --json output.
 inline bool latency() { return report().latency; }
 
-/// Lane count from --batch (0 = batching off): link benches that support
-/// trial batching then switch to the *_batched runners. The batched
-/// double path is bitwise identical to the scalar runners, so series and
+/// Lane count from --batch (0 = not given): link benches that support
+/// trial batching run their one link runner at max(batch, 1) lanes. The
+/// double path's results do not depend on the lane count, so series and
 /// metrics are unchanged — only wall time moves.
 inline std::size_t batch_lanes() { return report().batch; }
 

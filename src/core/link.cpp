@@ -1,9 +1,9 @@
 #include "core/link.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <span>
+#include <utility>
 
 #include "channel/awgn.h"
 #include "common/bits.h"
@@ -144,31 +144,8 @@ LinkResult run_cck_link(phy::CckRate rate, std::size_t bits_per_packet,
 LinkResult run_ofdm_link(phy::OfdmMcs mcs, std::size_t psdu_bytes,
                          std::size_t n_packets, double snr_db, Rng& rng,
                          ChannelSpec channel) {
-  check(psdu_bytes > 0 && n_packets > 0, "empty OFDM link run");
-  const obs::perf::ScopedSpan span("link.ofdm");
-  const phy::OfdmPhy phy(mcs);
-  par::SweepOptions opt;
-  opt.root_seed = rng.next_u64();
-  return par::montecarlo<LinkResult>(
-      n_packets, /*point=*/0, opt,
-      [&](std::uint64_t, std::size_t, Rng& prng, LinkResult& acc) {
-        phy::Workspace& ws = phy::tls_workspace();
-        auto psdu = ws.bits(psdu_bytes);
-        prng.fill_bytes(*psdu);
-        auto wave_lease = ws.cvec(0);
-        CVec& wave = *wave_lease;
-        phy.transmit_into(*psdu, wave, ws);
-        const double signal_power = dsp::mean_power(wave);
-        const std::size_t tx_len = wave.size();
-        apply_channel(wave, channel, phy::OfdmPhy::kSampleRateHz, prng, ws);
-        const double noise_var = signal_power / db_to_lin(snr_db);
-        channel::add_awgn(wave, prng, noise_var);
-        wave.resize(tx_len);  // drop the TDL tail beyond the frame
-        auto decoded = ws.bits(0);
-        phy.receive_into(wave, psdu_bytes, noise_var, *decoded, ws);
-        count_byte_errors(*psdu, *decoded, acc);
-      },
-      merge_links);
+  return run_ofdm_link_batched(mcs, psdu_bytes, n_packets, snr_db, rng,
+                               {1, false}, channel);
 }
 
 LinkResult run_ofdm_link_batched(phy::OfdmMcs mcs, std::size_t psdu_bytes,
@@ -190,33 +167,28 @@ LinkResult run_ofdm_link_batched(phy::OfdmMcs mcs, std::size_t psdu_bytes,
         const std::size_t L = rngs.size();
         auto tx_lease = ws.bits(L * psdu_bytes);
         Bits& tx = *tx_lease;
-        auto waves_lease = ws.cvec(L * tx_len);
-        CVec& waves = *waves_lease;
-        auto wave_lease = ws.cvec(0);
-        CVec& wave = *wave_lease;
+        // Group-persistent waveform and PSDU buffers: thread_local so
+        // their capacity survives across groups (steady state stays
+        // allocation-free). Each lane's receiver borrows its waveform.
+        thread_local std::array<CVec, par::kMaxBatch> waves;
+        thread_local std::array<Bytes, par::kMaxBatch> decoded;
         std::array<phy::OfdmPhy::RxLane, par::kMaxBatch> rx;
         for (std::size_t l = 0; l < L; ++l) {
-          // Each lane consumes exactly its own trial Rng, in the same
-          // draw order as the scalar runner — the waveform hitting the
-          // receiver is bitwise the scalar trial's waveform.
+          // Each lane consumes exactly its own trial Rng, so a trial's
+          // waveform does not depend on the group it runs in.
           Rng& prng = rngs[l];
           const std::span<std::uint8_t> psdu(tx.data() + l * psdu_bytes,
                                              psdu_bytes);
           prng.fill_bytes(psdu);
+          CVec& wave = waves[l];
           phy.transmit_into(psdu, wave, ws);
           const double signal_power = dsp::mean_power(wave);
           apply_channel(wave, channel, phy::OfdmPhy::kSampleRateHz, prng, ws);
           const double noise_var = signal_power / db_to_lin(snr_db);
           channel::add_awgn(wave, prng, noise_var);
           wave.resize(tx_len);  // drop the TDL tail beyond the frame
-          std::copy(wave.begin(), wave.end(),
-                    waves.begin() + static_cast<std::ptrdiff_t>(l * tx_len));
-          rx[l] = {std::span<const Cplx>(waves.data() + l * tx_len, tx_len),
-                   noise_var};
+          rx[l] = {wave, noise_var};
         }
-        // Group-persistent PSDU buffers: thread_local so their capacity
-        // survives across groups (steady state stays allocation-free).
-        thread_local std::array<Bytes, par::kMaxBatch> decoded;
         phy.receive_batch_into(
             std::span<const phy::OfdmPhy::RxLane>(rx.data(), L), psdu_bytes,
             std::span<Bytes>(decoded.data(), L), batch.quantized, ws);
@@ -233,25 +205,8 @@ LinkResult run_ofdm_link_batched(phy::OfdmMcs mcs, std::size_t psdu_bytes,
 LinkResult run_ht_link(const phy::HtConfig& config, std::size_t psdu_bytes,
                        std::size_t n_packets, double snr_db, Rng& rng,
                        channel::DelayProfile profile) {
-  check(psdu_bytes > 0 && n_packets > 0, "empty HT link run");
-  const obs::perf::ScopedSpan span("link.ht");
-  const phy::HtPhy phy(config);
-  par::SweepOptions opt;
-  opt.root_seed = rng.next_u64();
-  return par::montecarlo<LinkResult>(
-      n_packets, /*point=*/0, opt,
-      [&](std::uint64_t, std::size_t, Rng& prng, LinkResult& acc) {
-        phy::Workspace& ws = phy::tls_workspace();
-        auto psdu = ws.bits(psdu_bytes);
-        prng.fill_bytes(*psdu);
-        // The per-tone channel draw and detector setup still allocate
-        // (small matrices, SVD); the symbol/decode hot loops lease.
-        const auto tones = phy.draw_channel(prng, profile);
-        auto decoded = ws.bits(0);
-        phy.simulate_link_into(*psdu, tones, snr_db, prng, *decoded, ws);
-        count_byte_errors(*psdu, *decoded, acc);
-      },
-      merge_links);
+  return run_ht_link_batched(config, psdu_bytes, n_packets, snr_db, rng,
+                             {1, false}, profile);
 }
 
 LinkResult run_ht_link_batched(const phy::HtConfig& config,
@@ -272,12 +227,12 @@ LinkResult run_ht_link_batched(const phy::HtConfig& config,
         const std::size_t L = rngs.size();
         auto tx_lease = ws.bits(L * psdu_bytes);
         Bits& tx = *tx_lease;
-        // Per-lane channel draws allocate (small matrices) just as the
-        // scalar runner's do; the lanes array only borrows them.
+        // Per-lane channel draws allocate (small matrices); the lanes
+        // array only borrows them.
         std::array<std::vector<linalg::CMatrix>, par::kMaxBatch> tones;
         std::array<phy::HtPhy::TxLane, par::kMaxBatch> lanes;
         for (std::size_t l = 0; l < L; ++l) {
-          // Same draw order as the scalar trial: PSDU bytes, then the
+          // Each lane draws off its own trial Rng: PSDU bytes, then the
           // channel, then (inside the front) the per-tone noise.
           Rng& prng = rngs[l];
           const std::span<std::uint8_t> psdu(tx.data() + l * psdu_bytes,

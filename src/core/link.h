@@ -88,40 +88,43 @@ LinkResult run_cck_link(phy::CckRate rate, std::size_t bits_per_packet,
                         ChannelSpec channel = ChannelSpec::awgn());
 
 /// OFDM (802.11a/g) link: full time-domain waveform with LTF channel
-/// estimation at the receiver.
+/// estimation at the receiver. The one-lane run_ofdm_link_batched.
 LinkResult run_ofdm_link(phy::OfdmMcs mcs, std::size_t psdu_bytes,
                          std::size_t n_packets, double snr_db, Rng& rng,
                          ChannelSpec channel = ChannelSpec::awgn());
 
 /// HT (802.11n) link: frequency-domain MIMO simulation; the channel is a
-/// fresh TGn-profile draw per packet.
+/// fresh TGn-profile draw per packet. The one-lane run_ht_link_batched.
 LinkResult run_ht_link(const phy::HtConfig& config, std::size_t psdu_bytes,
                        std::size_t n_packets, double snr_db, Rng& rng,
                        channel::DelayProfile profile =
                            channel::DelayProfile::kOffice);
 
-/// Trial-batching knobs for the batched link runners.
+/// Trial-batching knobs for the OFDM and HT link runners. The plain
+/// run_ofdm_link / run_ht_link entry points run {1, false}.
 struct BatchOptions {
   /// Trials per SIMD group (1..par::kMaxBatch = 16). The double-precision
   /// vector decoders want a multiple of the SIMD width; other counts fall
-  /// back to the scalar kernels per lane (still batched at the runner).
+  /// back to the scalar kernels per lane (still batched at the runner),
+  /// and one lane runs them with no lane copies at all.
   std::size_t lanes = 8;
   /// Engage the int16 quantized decoder fast paths. Results are then NOT
   /// bitwise against the double path — gate on PER deltas (bench_diff).
   bool quantized = false;
 };
 
-/// As run_ofdm_link, pushing trials through the receiver in SIMD groups
-/// of `batch.lanes` (dsp/batch.h). With batch.quantized false the result
-/// is bitwise identical to run_ofdm_link from the same Rng state, for
-/// any --jobs and any lane count.
+/// The OFDM link runner: pushes trials through the receiver in SIMD
+/// groups of `batch.lanes` (dsp/batch.h). With batch.quantized false the
+/// result is a pure function of the Rng state and the packet count — the
+/// same at any lane count and any --jobs, so run_ofdm_link's one-lane
+/// result too (tests/test_link_shapes.cpp pins this on random cases).
 LinkResult run_ofdm_link_batched(phy::OfdmMcs mcs, std::size_t psdu_bytes,
                                  std::size_t n_packets, double snr_db,
                                  Rng& rng, BatchOptions batch,
                                  ChannelSpec channel = ChannelSpec::awgn());
 
-/// As run_ht_link, batched; same bitwise contract as
-/// run_ofdm_link_batched.
+/// The HT link runner, batched like run_ofdm_link_batched and under the
+/// same contract.
 LinkResult run_ht_link_batched(const phy::HtConfig& config,
                                std::size_t psdu_bytes, std::size_t n_packets,
                                double snr_db, Rng& rng, BatchOptions batch,

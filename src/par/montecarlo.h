@@ -110,7 +110,79 @@ std::size_t auto_chunk(std::size_t n_trials);
 ThreadPool& select_pool(const SweepOptions& opt,
                         std::unique_ptr<ThreadPool>& owned);
 
+/// The chunk loop every sweep entry point runs: body(c) for each chunk
+/// c in [0, n_chunks) on the pool `opt` selects, each chunk under the
+/// caller's shard of the span profile, inside a `span_name` span, and
+/// timed into chunk_stats() when telemetry is on.
+template <class Body>
+void for_each_chunk(std::size_t n_chunks, const SweepOptions& opt,
+                    const char* span_name, Body&& body) {
+  const ProfileTargets prof = profiling_targets();
+  std::unique_ptr<ThreadPool> owned;
+  ThreadPool& pool = select_pool(opt, owned);
+  pool.parallel_for(n_chunks, 1, [&](std::size_t cb, std::size_t ce) {
+    for (std::size_t c = cb; c < ce; ++c) {
+      const ProfileShardGuard shard(prof);
+      const bool telem = telemetry_enabled();
+      const std::uint64_t c_begin = telem ? monotonic_ns() : 0;
+      {
+        const obs::perf::ScopedSpan chunk_span(span_name);
+        body(c);
+      }
+      if (telem) record_chunk_ns(monotonic_ns() - c_begin);
+    }
+  });
+}
+
 }  // namespace detail
+
+/// Trial-batched montecarlo: trials run in groups of up to `batch`
+/// lanes so the group function can push them through the PHY in SIMD
+/// lockstep (dsp/batch.h).
+///
+///   group(point, t0, rngs, acc) — runs trials [t0, t0 + rngs.size()),
+///                                 where rngs[i] is the private generator
+///                                 of trial t0 + i (the trial_rng
+///                                 derivation of (root, point, trial));
+///                                 folds into acc in trial order.
+///
+/// The chunk size is rounded up to a multiple of `batch`, so group
+/// boundaries are a pure function of (n_trials, batch, opt.chunk) —
+/// every group starts at a multiple of `batch` regardless of --jobs,
+/// and only the final group of a point can be short. A group function
+/// whose per-trial results do not depend on the group they ran in
+/// therefore gives the same result at every `batch` and thread count.
+template <class Result, class GroupFn, class MergeFn>
+Result montecarlo_batched(std::size_t n_trials, std::uint64_t point,
+                          std::size_t batch, const SweepOptions& opt,
+                          GroupFn&& group, MergeFn&& merge) {
+  check(n_trials > 0, "par::montecarlo requires at least one trial");
+  check(batch >= 1 && batch <= kMaxBatch,
+        "par::montecarlo_batched batch size out of range");
+  const std::size_t chunk0 =
+      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
+  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
+  const std::size_t n_chunks = (n_trials + chunk - 1) / chunk;
+  std::vector<Result> partial(n_chunks);
+  detail::for_each_chunk(n_chunks, opt, "mc.chunk", [&](std::size_t c) {
+    const std::size_t t0 = c * chunk;
+    const std::size_t t1 = std::min(n_trials, t0 + chunk);
+    Result acc{};
+    std::array<Rng, kMaxBatch> rngs;
+    for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
+      const std::size_t n_g = std::min(batch, t1 - g0);
+      for (std::size_t i = 0; i < n_g; ++i) {
+        rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
+      }
+      group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
+    }
+    partial[c] = std::move(acc);
+  });
+
+  Result out{};
+  for (std::size_t c = 0; c < n_chunks; ++c) merge(out, partial[c]);
+  return out;
+}
 
 /// Runs `n_trials` Monte-Carlo trials of sweep point `point` and folds
 /// them into one `Result` (default-constructed, value-initialized).
@@ -119,102 +191,17 @@ ThreadPool& select_pool(const SweepOptions& opt,
 ///                                `rng` is the trial's private generator.
 ///   merge(acc, partial)        — folds a chunk partial into acc;
 ///                                called in chunk order.
+///
+/// The one-trial-per-group case of montecarlo_batched: with batch = 1 the
+/// chunk boundaries are exactly auto_chunk's (or opt.chunk's).
 template <class Result, class TrialFn, class MergeFn>
 Result montecarlo(std::size_t n_trials, std::uint64_t point,
                   const SweepOptions& opt, TrialFn&& trial, MergeFn&& merge) {
-  check(n_trials > 0, "par::montecarlo requires at least one trial");
-  const std::size_t chunk =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t n_chunks = (n_trials + chunk - 1) / chunk;
-  std::vector<Result> partial(n_chunks);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(n_chunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t t0 = c * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        for (std::size_t t = t0; t < t1; ++t) {
-          Rng rng = trial_rng(opt.root_seed, point, t);
-          trial(point, t, rng, acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  Result out{};
-  for (std::size_t c = 0; c < n_chunks; ++c) merge(out, partial[c]);
-  return out;
-}
-
-/// Trial-batched montecarlo: trials run in groups of up to `batch`
-/// lanes so the group function can push them through the PHY in SIMD
-/// lockstep (dsp/batch.h).
-///
-///   group(point, t0, rngs, acc) — runs trials [t0, t0 + rngs.size()),
-///                                 where rngs[i] is the private generator
-///                                 of trial t0 + i (the same trial_rng
-///                                 derivation the scalar engine uses);
-///                                 folds into acc in trial order.
-///
-/// The chunk size is rounded up to a multiple of `batch`, so group
-/// boundaries are a pure function of (n_trials, batch, opt.chunk) —
-/// every group starts at a multiple of `batch` regardless of --jobs,
-/// and only the final group of a point can be short. A group function
-/// whose per-trial results match the scalar trial function therefore
-/// reproduces montecarlo() bitwise for any thread count.
-template <class Result, class GroupFn, class MergeFn>
-Result montecarlo_batched(std::size_t n_trials, std::uint64_t point,
-                          std::size_t batch, const SweepOptions& opt,
-                          GroupFn&& group, MergeFn&& merge) {
-  check(n_trials > 0, "par::montecarlo_batched requires at least one trial");
-  check(batch >= 1 && batch <= kMaxBatch,
-        "par::montecarlo_batched batch size out of range");
-  const std::size_t chunk0 =
-      opt.chunk ? opt.chunk : detail::auto_chunk(n_trials);
-  const std::size_t chunk = ((chunk0 + batch - 1) / batch) * batch;
-  const std::size_t n_chunks = (n_trials + chunk - 1) / chunk;
-  std::vector<Result> partial(n_chunks);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(n_chunks, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t t0 = c * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        std::array<Rng, kMaxBatch> rngs;
-        for (std::size_t g0 = t0; g0 < t1; g0 += batch) {
-          const std::size_t n_g = std::min(batch, t1 - g0);
-          for (std::size_t i = 0; i < n_g; ++i) {
-            rngs[i] = trial_rng(opt.root_seed, point, g0 + i);
-          }
-          group(point, g0, std::span<Rng>(rngs.data(), n_g), acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
-  });
-
-  Result out{};
-  for (std::size_t c = 0; c < n_chunks; ++c) merge(out, partial[c]);
-  return out;
+  return montecarlo_batched<Result>(
+      n_trials, point, /*batch=*/1, opt,
+      [&trial](std::uint64_t p, std::size_t t, std::span<Rng> rngs,
+               Result& acc) { trial(p, t, rngs[0], acc); },
+      std::forward<MergeFn>(merge));
 }
 
 /// Sweep over `n_points` points x `n_trials` trials; returns one merged
@@ -230,29 +217,16 @@ std::vector<Result> sweep(std::size_t n_points, std::size_t n_trials,
   const std::size_t chunks_per_point = (n_trials + chunk - 1) / chunk;
   const std::size_t total = n_points * chunks_per_point;
   std::vector<Result> partial(total);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(total, 1, [&](std::size_t cb, std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan chunk_span("mc.chunk");
-        const std::size_t point = c / chunks_per_point;
-        const std::size_t t0 = (c % chunks_per_point) * chunk;
-        const std::size_t t1 = std::min(n_trials, t0 + chunk);
-        Result acc{};
-        for (std::size_t t = t0; t < t1; ++t) {
-          Rng rng = trial_rng(opt.root_seed, point, t);
-          trial(point, t, rng, acc);
-        }
-        partial[c] = std::move(acc);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
+  detail::for_each_chunk(total, opt, "mc.chunk", [&](std::size_t c) {
+    const std::size_t point = c / chunks_per_point;
+    const std::size_t t0 = (c % chunks_per_point) * chunk;
+    const std::size_t t1 = std::min(n_trials, t0 + chunk);
+    Result acc{};
+    for (std::size_t t = t0; t < t1; ++t) {
+      Rng rng = trial_rng(opt.root_seed, point, t);
+      trial(point, t, rng, acc);
     }
+    partial[c] = std::move(acc);
   });
 
   std::vector<Result> out(n_points);
@@ -274,22 +248,9 @@ auto map(std::size_t n, const SweepOptions& opt, Fn&& fn)
   using R = decltype(fn(std::size_t{0}, std::declval<Rng&>()));
   check(n > 0, "par::map requires at least one item");
   std::vector<R> out(n);
-  const detail::ProfileTargets prof = detail::profiling_targets();
-
-  std::unique_ptr<ThreadPool> owned;
-  ThreadPool& pool = detail::select_pool(opt, owned);
-  pool.parallel_for(n, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const detail::ProfileShardGuard shard(prof);
-      const bool telem = telemetry_enabled();
-      const std::uint64_t c_begin = telem ? detail::monotonic_ns() : 0;
-      {
-        const obs::perf::ScopedSpan map_span("mc.map");
-        Rng rng = trial_rng(opt.root_seed, i, 0);
-        out[i] = fn(i, rng);
-      }
-      if (telem) detail::record_chunk_ns(detail::monotonic_ns() - c_begin);
-    }
+  detail::for_each_chunk(n, opt, "mc.map", [&](std::size_t i) {
+    Rng rng = trial_rng(opt.root_seed, i, 0);
+    out[i] = fn(i, rng);
   });
   return out;
 }

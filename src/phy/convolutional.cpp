@@ -363,9 +363,13 @@ void viterbi_decode_batch_into(std::span<const double> llrs_soa,
         "viterbi_decode_batch requires an even LLR count per lane");
   const std::size_t n_steps = llrs_soa.size() / (2 * lanes);
   decoded_soa.resize(n_steps * lanes);
+  if (lanes == 1) {
+    // A one-lane block is that lane's contiguous stream.
+    viterbi_decode_into(llrs_soa, terminated, decoded_soa, ws);
+    return;
+  }
   constexpr std::size_t W = dsp::simd::kWidth;
-  if (!dsp::simd::vector_enabled() || !dsp::batch::vectorizable(lanes, W) ||
-      lanes == 1) {
+  if (!dsp::simd::vector_enabled() || !dsp::batch::vectorizable(lanes, W)) {
     // Remainder groups and scalar builds: extract each lane and run the
     // reference kernel — bitwise identical by construction.
     auto lane_lease = ws.rvec(2 * n_steps);

@@ -83,7 +83,8 @@ void depuncture_batch_into(std::span<const std::span<const double>> lane_llrs,
 /// is decision t of lane l. Bitwise identical to running
 /// viterbi_decode_into on each lane: the vector sweep engages when
 /// `lanes` is a multiple of the SIMD width, and any other count
-/// extracts each lane and runs the scalar kernel.
+/// extracts each lane and runs the scalar kernel (one lane runs it in
+/// place, with no copy).
 void viterbi_decode_batch_into(std::span<const double> llrs_soa,
                                std::size_t lanes, bool terminated,
                                Bits& decoded_soa, Workspace& ws);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "channel/mimo.h"
 #include "common/check.h"
@@ -260,7 +261,12 @@ void HtPhy::simulate_front_into(std::span<const std::uint8_t> psdu,
   const std::size_t n_sym = n_symbols_for_psdu(psdu.size());
   const double sigma2 = std::pow(10.0, -snr_db / 10.0);
 
+  // Each stage below is a child span of the link's; emplacing the next
+  // stage closes the previous one.
+  std::optional<obs::perf::ScopedSpan> stage;
+
   // ---------- Encode ----------
+  stage.emplace("ht.encode");
   auto coded_lease = ws.bits(0);
   Bits& coded = *coded_lease;  // length n_sym * n_cbps after padding
   auto data_lease = ws.bits(0);
@@ -310,6 +316,7 @@ void HtPhy::simulate_front_into(std::span<const std::uint8_t> psdu,
   coded.resize(n_sym * n_cbps, 0);  // known zero padding to fill symbols
 
   // ---------- Stream parse + interleave + map ----------
+  stage.emplace("ht.map");
   // Streams live as subspans of one leased buffer: stream ss occupies
   // [ss * n_sym * n_cbpss, (ss + 1) * n_sym * n_cbpss).
   const std::size_t s_block = std::max<std::size_t>(mcs_.n_bpsc / 2, 1);
@@ -356,6 +363,7 @@ void HtPhy::simulate_front_into(std::span<const std::uint8_t> psdu,
   }
 
   // ---------- Per-tone detectors ----------
+  stage.emplace("ht.detector_setup");
   const std::vector<int> dt = data_tone_list(config_.bandwidth);
   std::vector<ToneDetector> det(n_dt);
   const double inv_sqrt_nss = 1.0 / std::sqrt(static_cast<double>(n_ss));
@@ -495,6 +503,7 @@ void HtPhy::simulate_front_into(std::span<const std::uint8_t> psdu,
   }
 
   // ---------- Channel + detection, symbol by symbol ----------
+  stage.emplace("ht.detect");
   // Per-stream LLRs, packed like the stream bits: stream ss occupies
   // [ss * n_sym * n_cbpss, (ss + 1) * n_sym * n_cbpss).
   auto stream_llrs_lease = ws.rvec(n_ss * n_sym * n_cbpss);
@@ -628,53 +637,9 @@ void HtPhy::simulate_link_into(std::span<const std::uint8_t> psdu,
                                const std::vector<linalg::CMatrix>& tones,
                                double snr_db, Rng& rng, Bytes& out,
                                Workspace& ws) const {
-  // One span over the combined TX+RX chain (encode through decode).
-  const obs::perf::ScopedSpan span("ht.link");
-  const std::size_t n_cbps =
-      ht_data_tones(config_.bandwidth) * mcs_.n_bpsc * mcs_.n_ss;
-  const std::size_t n_sym = n_symbols_for_psdu(psdu.size());
-  auto coded_llrs_lease = ws.rvec(n_sym * n_cbps);
-  std::span<double> coded_llrs = *coded_llrs_lease;
-  simulate_front_into(psdu, tones, snr_db, rng, coded_llrs, ws);
-
-  // ---------- Decode ----------
-  auto info_lease = ws.bits(0);
-  Bits& info_bits = *info_lease;
-  if (config_.coding == HtCoding::kBcc) {
-    const std::size_t n_dbps = static_cast<std::size_t>(
-        static_cast<double>(n_cbps) * code_rate_value(mcs_.rate));
-    const std::size_t n_info = n_sym * n_dbps;
-    auto unpunctured_lease = ws.rvec(0);
-    RVec& unpunctured = *unpunctured_lease;
-    depuncture_into(coded_llrs, mcs_.rate, n_info, unpunctured);
-    // Decode the tail-terminated prefix only (pads are scrambled noise).
-    const std::size_t decoded_bits = kServiceBits + 8 * psdu.size() + kTailBits;
-    unpunctured.resize(2 * decoded_bits);
-    viterbi_decode_into(unpunctured, /*terminated=*/true, info_bits, ws);
-  } else {
-    const LdpcCode& code = ldpc_code_for(mcs_.rate);
-    const std::size_t payload = kServiceBits + 8 * psdu.size();
-    const std::size_t n_cw =
-        (payload + code.info_length() - 1) / code.info_length();
-    info_bits.resize(n_cw * code.info_length());
-    LdpcCode::DecodeResult res;
-    for (std::size_t cw = 0; cw < n_cw; ++cw) {
-      const auto llrs = coded_llrs.subspan(cw * kLdpcBlock, kLdpcBlock);
-      code.decode_into(llrs, /*max_iterations=*/40, /*normalization=*/0.8,
-                       res, ws);
-      std::copy(res.info.begin(), res.info.end(),
-                info_bits.begin() +
-                    static_cast<std::ptrdiff_t>(cw * code.info_length()));
-    }
-  }
-  scramble_to(info_bits, kScramblerSeed, info_bits);  // descramble in place
-
-  out.assign(psdu.size(), 0);
-  for (std::size_t i = 0; i < 8 * psdu.size(); ++i) {
-    if (info_bits[kServiceBits + i] & 1u) {
-      out[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-    }
-  }
+  const TxLane lane{psdu, &tones, &rng};
+  simulate_link_batch_into(std::span<const TxLane>(&lane, 1), snr_db,
+                           std::span<Bytes>(&out, 1), /*quantized=*/false, ws);
 }
 
 void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
@@ -683,7 +648,8 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
   const std::size_t L = lanes.size();
   check(L > 0 && L <= 16 && out.size() == L,
         "HT batch link requires 1..16 lanes with one output per lane");
-  const obs::perf::ScopedSpan span("ht.link_batch");
+  // One span over the combined TX+RX chain (encode through decode).
+  const obs::perf::ScopedSpan span("ht.link");
   const std::size_t psdu_bytes = lanes[0].psdu.size();
   for (const TxLane& lane : lanes) {
     check(lane.psdu.size() == psdu_bytes && lane.tones != nullptr &&
@@ -709,10 +675,14 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
                         ws);
   }
 
+  // Every lane's decoded DATA field, lane-major: SERVICE, PSDU, then the
+  // tail (BCC) or codeword padding (LDPC).
   const std::size_t payload_bits = kServiceBits + 8 * psdu_bytes;
+  auto decoded_lease = ws.bits(0);
+  Bits& decoded_soa = *decoded_lease;
   if (config_.coding == HtCoding::kBcc) {
     // Depuncture lane-major, decode the tail-terminated prefix of every
-    // lane in one batched Viterbi sweep.
+    // lane in one batched Viterbi sweep (pads are scrambled noise).
     std::array<std::span<const double>, 16> lane_llrs;
     for (std::size_t l = 0; l < L; ++l) {
       lane_llrs[l] = std::span<const double>(
@@ -729,8 +699,6 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
     const std::size_t decoded_bits = payload_bits + kTailBits;
     const std::span<const double> trellis_llrs(soa.data(),
                                                2 * decoded_bits * L);
-    auto decoded_lease = ws.bits(0);
-    Bits& decoded_soa = *decoded_lease;
     if (quantized) {
       double maxabs = 0.0;
       for (const double v : trellis_llrs) {
@@ -743,33 +711,19 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
       viterbi_decode_batch_into(trellis_llrs, L, /*terminated=*/true,
                                 decoded_soa, ws);
     }
-    auto lanebits_lease = ws.bits(decoded_bits);
-    Bits& lanebits = *lanebits_lease;
-    for (std::size_t l = 0; l < L; ++l) {
-      dsp::batch::gather_lane(decoded_soa.data(), l, L,
-                              std::span<std::uint8_t>(lanebits));
-      scramble_to(lanebits, kScramblerSeed, lanebits);
-      Bytes& psdu = out[l];
-      psdu.assign(psdu_bytes, 0);
-      for (std::size_t i = 0; i < 8 * psdu_bytes; ++i) {
-        if (lanebits[kServiceBits + i] & 1u) {
-          psdu[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-        }
-      }
-    }
   } else {
     // LDPC: transpose each codeword position into a lane-major block and
     // decode all lanes' codeword cw together.
     const LdpcCode& code = ldpc_code_for(mcs_.rate);
     const std::size_t k = code.info_length();
     const std::size_t n_cw = (payload_bits + k - 1) / k;
-    auto infos_lease = ws.bits(L * n_cw * k);
-    Bits& infos = *infos_lease;
+    decoded_soa.resize(n_cw * k * L);
     auto soa_lease = ws.rvec(kLdpcBlock * L);
     RVec& soa = *soa_lease;
     // Group-persistent decode results: thread_local so the info vectors
     // keep their capacity across groups (steady state allocation-free).
     thread_local std::array<LdpcCode::DecodeResult, 16> results;
+    const std::span<LdpcCode::DecodeResult> lane_results(results.data(), L);
     for (std::size_t cw = 0; cw < n_cw; ++cw) {
       for (std::size_t l = 0; l < L; ++l) {
         dsp::batch::scatter_lane(
@@ -784,35 +738,20 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
         const double scale = maxabs > 0.0 ? kQuantHeadroom / maxabs : 1.0;
         code.decode_batch_i16_into(soa, L, /*max_iterations=*/40,
                                    /*normalization=*/0.8, scale,
-                                   std::span<LdpcCode::DecodeResult>(
-                                       results.data(), L),
-                                   ws);
+                                   lane_results, ws);
       } else {
         code.decode_batch_into(soa, L, /*max_iterations=*/40,
-                               /*normalization=*/0.8,
-                               std::span<LdpcCode::DecodeResult>(
-                                   results.data(), L),
-                               ws);
+                               /*normalization=*/0.8, lane_results, ws);
       }
       for (std::size_t l = 0; l < L; ++l) {
-        std::copy(results[l].info.begin(), results[l].info.end(),
-                  infos.begin() +
-                      static_cast<std::ptrdiff_t>(l * n_cw * k + cw * k));
-      }
-    }
-    for (std::size_t l = 0; l < L; ++l) {
-      const std::span<std::uint8_t> lane_info(infos.data() + l * n_cw * k,
-                                              n_cw * k);
-      scramble_to(lane_info, kScramblerSeed, lane_info);
-      Bytes& psdu = out[l];
-      psdu.assign(psdu_bytes, 0);
-      for (std::size_t i = 0; i < 8 * psdu_bytes; ++i) {
-        if (lane_info[kServiceBits + i] & 1u) {
-          psdu[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-        }
+        dsp::batch::scatter_lane(
+            std::span<const std::uint8_t>(lane_results[l].info), l, L,
+            decoded_soa.data() + cw * k * L);
       }
     }
   }
+  descramble_lanes_to_bytes(decoded_soa, L, kScramblerSeed, kServiceBits,
+                            psdu_bytes, out);
 }
 
 }  // namespace wlan::phy

@@ -131,7 +131,7 @@ class HtPhy {
   /// As simulate_link, resizing `out` and leasing the per-packet coding
   /// and detection scratch from `ws`. The per-tone detector setup still
   /// allocates (small matrices, SVD); the symbol/decode hot loops do not.
-  /// Bitwise identical to simulate_link (same RNG draw order).
+  /// The one-lane simulate_link_batch_into.
   void simulate_link_into(std::span<const std::uint8_t> psdu,
                           const std::vector<linalg::CMatrix>& tones,
                           double snr_db, Rng& rng, Bytes& out,
@@ -149,15 +149,18 @@ class HtPhy {
   /// (encode, channel, detection, demap) runs sequentially on its own
   /// Rng, then every lane decodes in one batched Viterbi or LDPC sweep.
   /// out[l] receives lane l's PSDU; all lanes must carry PSDUs of one
-  /// size; at most 16 lanes. With `quantized` false this is bitwise
-  /// identical to simulate_link_into on each lane; true engages the
-  /// int16 decoders (gated on PER deltas, not equality).
+  /// size; at most 16 lanes. With `quantized` false lane l's PSDU is
+  /// bitwise what a one-lane call on that lane gives, at any lane count;
+  /// true engages the int16 decoders (gated on PER deltas, not
+  /// equality). Profiled as one "ht.link" span with the front-end stages
+  /// (ht.encode, ht.map, ht.detector_setup, ht.detect) and the decoder
+  /// kernels as children.
   void simulate_link_batch_into(std::span<const TxLane> lanes, double snr_db,
                                 std::span<Bytes> out, bool quantized,
                                 Workspace& ws) const;
 
  private:
-  /// Front end shared by the scalar and batched links: encode through
+  /// One lane's front end in simulate_link_batch_into: encode through
   /// detection and demap, writing n_symbols * n_cbps coded-bit LLRs.
   void simulate_front_into(std::span<const std::uint8_t> psdu,
                            const std::vector<linalg::CMatrix>& tones,

@@ -428,9 +428,13 @@ void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
   check(lanes > 0 && lanes <= 16 && results.size() == lanes,
         "decode_batch requires 1..16 lanes with one result per lane");
   check(llrs_soa.size() == n_ * lanes, "decode_batch LLR length mismatch");
+  if (lanes == 1) {
+    // A one-lane block is that lane's contiguous codeword.
+    decode_into(llrs_soa, max_iterations, normalization, results[0], ws);
+    return;
+  }
   constexpr std::size_t W = dsp::simd::kWidth;
-  if (!dsp::simd::vector_enabled() || !dsp::batch::vectorizable(lanes, W) ||
-      lanes == 1) {
+  if (!dsp::simd::vector_enabled() || !dsp::batch::vectorizable(lanes, W)) {
     // Remainder groups and scalar builds: extract each lane and run the
     // reference kernel — bitwise identical by construction.
     auto lane_lease = ws.rvec(n_);

@@ -71,7 +71,7 @@ class LdpcCode {
   /// dead state), and once at most two lanes remain active they are
   /// extracted and finished on the scalar reference kernel. Lane counts
   /// that are not a multiple of the SIMD width decode lane by lane on
-  /// the scalar kernel.
+  /// the scalar kernel; one lane decodes in place, with no copy.
   void decode_batch_into(std::span<const double> llrs_soa, std::size_t lanes,
                          int max_iterations, double normalization,
                          std::span<DecodeResult> results, Workspace& ws) const;

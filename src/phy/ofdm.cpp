@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/units.h"
-#include "dsp/batch.h"
 #include "dsp/fft.h"
 #include "obs/perf.h"
 #include "obs/probe.h"
@@ -359,33 +358,9 @@ void OfdmPhy::receive_front_into(std::span<const Cplx> samples,
 void OfdmPhy::receive_into(std::span<const Cplx> samples,
                            std::size_t psdu_bytes, double noise_variance,
                            Bytes& psdu, Workspace& ws) const {
-  const obs::perf::ScopedSpan span("ofdm.rx");
-  const std::size_t n_sym = n_symbols_for_psdu(psdu_bytes);
-  auto all_llrs_lease = ws.rvec(n_sym * info_->n_cbps);
-  RVec& all_llrs = *all_llrs_lease;
-  receive_front_into(samples, n_sym, noise_variance, all_llrs, ws);
-
-  const std::size_t n_info = n_sym * info_->n_dbps;
-  auto unpunctured_lease = ws.rvec(0);
-  RVec& unpunctured = *unpunctured_lease;
-  depuncture_into(all_llrs, info_->rate, n_info, unpunctured);
-  // The encoder is in state 0 immediately after the tail bits, so decode
-  // exactly the service + PSDU + tail prefix with a terminated trellis and
-  // ignore the (scrambled, random) pad bits.
-  const std::size_t decoded_bits = kServiceBits + 8 * psdu_bytes + kTailBits;
-  unpunctured.resize(2 * decoded_bits);
-  auto decoded_lease = ws.bits(0);
-  Bits& decoded = *decoded_lease;
-  viterbi_decode_into(unpunctured, /*terminated=*/true, decoded, ws);
-  // Descramble in place.
-  scramble_to(decoded, kScramblerSeed, decoded);
-
-  psdu.assign(psdu_bytes, 0);
-  for (std::size_t i = 0; i < 8 * psdu_bytes; ++i) {
-    if (decoded[kServiceBits + i] & 1u) {
-      psdu[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-    }
-  }
+  const RxLane lane{samples, noise_variance};
+  receive_batch_into(std::span<const RxLane>(&lane, 1), psdu_bytes,
+                     std::span<Bytes>(&psdu, 1), /*quantized=*/false, ws);
 }
 
 Bytes OfdmPhy::receive(std::span<const Cplx> samples, std::size_t psdu_bytes,
@@ -402,7 +377,7 @@ void OfdmPhy::receive_batch_into(std::span<const RxLane> lanes,
   const std::size_t L = lanes.size();
   check(L > 0 && L <= 16 && psdus.size() == L,
         "OFDM batch receive requires 1..16 lanes with one PSDU per lane");
-  const obs::perf::ScopedSpan span("ofdm.rx_batch");
+  const obs::perf::ScopedSpan span("ofdm.rx");
   const std::size_t n_sym = n_symbols_for_psdu(psdu_bytes);
   const std::size_t lane_llr_count = n_sym * info_->n_cbps;
 
@@ -419,9 +394,9 @@ void OfdmPhy::receive_batch_into(std::span<const RxLane> lanes,
   }
 
   // Depuncture the full data field lane-major, then decode only the
-  // service + PSDU + tail prefix — exactly the truncation receive_into
-  // performs on its contiguous buffer, expressed as a row-prefix of the
-  // SoA block.
+  // service + PSDU + tail prefix (a row-prefix of the SoA block). The
+  // encoder is in state 0 right after the tail bits, so the trellis is
+  // terminated there and the (scrambled, random) pad bits are ignored.
   const std::size_t n_info = n_sym * info_->n_dbps;
   auto soa_lease = ws.rvec(0);
   RVec& soa = *soa_lease;
@@ -448,20 +423,8 @@ void OfdmPhy::receive_batch_into(std::span<const RxLane> lanes,
                               decoded_soa, ws);
   }
 
-  auto lanebits_lease = ws.bits(decoded_bits);
-  Bits& lanebits = *lanebits_lease;
-  for (std::size_t l = 0; l < L; ++l) {
-    dsp::batch::gather_lane(decoded_soa.data(), l, L,
-                            std::span<std::uint8_t>(lanebits));
-    scramble_to(lanebits, kScramblerSeed, lanebits);
-    Bytes& psdu = psdus[l];
-    psdu.assign(psdu_bytes, 0);
-    for (std::size_t i = 0; i < 8 * psdu_bytes; ++i) {
-      if (lanebits[kServiceBits + i] & 1u) {
-        psdu[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-      }
-    }
-  }
+  descramble_lanes_to_bytes(decoded_soa, L, kScramblerSeed, kServiceBits,
+                            psdu_bytes, psdus);
 }
 
 }  // namespace wlan::phy

@@ -92,7 +92,7 @@ class OfdmPhy {
                 double noise_variance) const;
 
   /// As receive, resizing `psdu` and leasing all scratch from `ws` —
-  /// allocation-free once warm.
+  /// allocation-free once warm. The one-lane receive_batch_into.
   void receive_into(std::span<const Cplx> samples, std::size_t psdu_bytes,
                     double noise_variance, Bytes& psdu, Workspace& ws) const;
 
@@ -107,10 +107,10 @@ class OfdmPhy {
   /// (FFT, equalize, demap, deinterleave) sequentially, then depunctures
   /// into a lane-major LLR block and decodes every lane in one batched
   /// Viterbi sweep. psdus[l] receives lane l's PSDU; at most 16 lanes.
-  /// With `quantized` false this is bitwise identical to receive_into on
-  /// each lane; with it true the int16 decoder runs with a scale
-  /// calibrated from the batch's own LLR peak (deterministic per batch,
-  /// gated on PER deltas rather than equality).
+  /// With `quantized` false lane l's PSDU is bitwise what a one-lane call
+  /// on that lane gives, at any lane count; with it true the int16
+  /// decoder runs with a scale calibrated from the batch's own LLR peak
+  /// (deterministic per batch, gated on PER deltas rather than equality).
   void receive_batch_into(std::span<const RxLane> lanes,
                           std::size_t psdu_bytes, std::span<Bytes> psdus,
                           bool quantized, Workspace& ws) const;
@@ -119,8 +119,8 @@ class OfdmPhy {
   std::size_t waveform_length(std::size_t psdu_bytes) const;
 
  private:
-  /// Front end shared by receive_into and receive_batch_into: channel
-  /// estimate, per-symbol FFT + CPE + equalize + demap + deinterleave.
+  /// One lane's front end in receive_batch_into: channel estimate,
+  /// per-symbol FFT + CPE + equalize + demap + deinterleave.
   /// all_llrs receives n_sym * n_cbps coded-bit LLRs.
   void receive_front_into(std::span<const Cplx> samples, std::size_t n_sym,
                           double noise_variance, std::span<double> all_llrs,

@@ -1,8 +1,8 @@
 // Trial-batched SIMD Monte-Carlo: the bitwise contract of the batched
-// double-precision paths (kernels and link runners, across lane counts,
-// vector toggles, thread counts, and non-multiple trial counts), the
-// PER-delta tolerance of the quantized int16 fast paths, and the
-// zero-allocation warm-loop property of the batched receiver.
+// double-precision decoder kernels (across lane counts and vector
+// toggles), the PER-delta tolerance of the quantized int16 fast paths,
+// and the zero-allocation warm-loop property of the batched receiver.
+// The link runners' shape contract lives in test_link_shapes.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,7 +17,6 @@
 #include "dsp/batch.h"
 #include "dsp/simd.h"
 #include "obs/metrics.h"
-#include "par/pool.h"
 #include "phy/convolutional.h"
 #include "phy/ldpc.h"
 #include "phy/ofdm.h"
@@ -63,13 +62,6 @@ TrellisLane make_trellis_lane(std::size_t n_payload, double noise_sigma,
         (coded[i] ? -4.0 : 4.0) + rng.gaussian(0.0, noise_sigma);
   }
   return lane;
-}
-
-void expect_link_equal(const LinkResult& a, const LinkResult& b) {
-  EXPECT_EQ(a.packets, b.packets);
-  EXPECT_EQ(a.packet_errors, b.packet_errors);
-  EXPECT_EQ(a.bits, b.bits);
-  EXPECT_EQ(a.bit_errors, b.bit_errors);
 }
 
 // --- batched Viterbi -------------------------------------------------
@@ -250,71 +242,6 @@ TEST(LdpcQuant, DeterministicAcrossVectorToggleAndDecodesModerateNoise) {
     EXPECT_TRUE(with_vec[l].parity_ok) << "l=" << l;
     EXPECT_EQ(with_vec[l].info, infos[l]) << "l=" << l;
   }
-}
-
-// --- batched link runners --------------------------------------------
-
-TEST(OfdmBatchRunner, BitwiseMatchesScalarRunnerAcrossLaneCounts) {
-  // 13 trials deliberately not a multiple of any lane count: the final
-  // partial group must refill correctly and decode lane-exact.
-  for (const std::size_t lanes : {1u, 4u, 8u}) {
-    Rng scalar_rng(123);
-    const LinkResult scalar =
-        run_ofdm_link(phy::OfdmMcs::k12Mbps, 100, 13, 5.0, scalar_rng);
-    Rng batch_rng(123);
-    const LinkResult batched = run_ofdm_link_batched(
-        phy::OfdmMcs::k12Mbps, 100, 13, 5.0, batch_rng, {lanes, false});
-    expect_link_equal(scalar, batched);
-    EXPECT_EQ(scalar_rng.next_u64(), batch_rng.next_u64())
-        << "runners must consume the same Rng state";
-  }
-}
-
-TEST(OfdmBatchRunner, BitwiseMatchesScalarAtHigherOrderMcs) {
-  Rng scalar_rng(321);
-  const LinkResult scalar =
-      run_ofdm_link(phy::OfdmMcs::k54Mbps, 300, 16, 22.0, scalar_rng);
-  Rng batch_rng(321);
-  const LinkResult batched = run_ofdm_link_batched(
-      phy::OfdmMcs::k54Mbps, 300, 16, 22.0, batch_rng, {8, false});
-  expect_link_equal(scalar, batched);
-}
-
-TEST(OfdmBatchRunner, IdenticalAcrossThreadCounts) {
-  auto run = [](unsigned jobs) {
-    par::set_default_jobs(jobs);
-    Rng rng(42);
-    const LinkResult r = run_ofdm_link_batched(phy::OfdmMcs::k12Mbps, 100, 29,
-                                               5.0, rng, {8, false});
-    par::set_default_jobs(0);
-    return r;
-  };
-  expect_link_equal(run(1), run(8));
-}
-
-TEST(HtBatchRunner, BccBitwiseMatchesScalarRunner) {
-  phy::HtConfig cfg;
-  cfg.mcs = 1;
-  for (const std::size_t lanes : {5u, 8u}) {
-    Rng scalar_rng(55);
-    const LinkResult scalar = run_ht_link(cfg, 200, 11, 8.0, scalar_rng);
-    Rng batch_rng(55);
-    const LinkResult batched =
-        run_ht_link_batched(cfg, 200, 11, 8.0, batch_rng, {lanes, false});
-    expect_link_equal(scalar, batched);
-  }
-}
-
-TEST(HtBatchRunner, LdpcBitwiseMatchesScalarRunner) {
-  phy::HtConfig cfg;
-  cfg.mcs = 1;
-  cfg.coding = phy::HtCoding::kLdpc;
-  Rng scalar_rng(66);
-  const LinkResult scalar = run_ht_link(cfg, 200, 11, 8.0, scalar_rng);
-  Rng batch_rng(66);
-  const LinkResult batched =
-      run_ht_link_batched(cfg, 200, 11, 8.0, batch_rng, {8, false});
-  expect_link_equal(scalar, batched);
 }
 
 // --- quantized PER tolerance -----------------------------------------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "channel/awgn.h"
 #include "common/bits.h"
@@ -57,6 +58,35 @@ TEST(Scrambler, RejectsZeroSeed) {
 TEST(Scrambler, DifferentSeedsGiveDifferentSequences) {
   const Bits zeros(127, 0);
   EXPECT_NE(scramble(zeros, 0x7F), scramble(zeros, 0x5D));
+}
+
+TEST(Scrambler, LaneDescrambleMatchesPerLaneScrambleAndPack) {
+  // Lane-major block of `lanes` scrambled DATA fields; bytes start after
+  // a 16-bit prefix, as the PSDU does after SERVICE.
+  constexpr std::size_t kFirst = 16;
+  constexpr std::size_t kBytes = 37;
+  for (const std::size_t lanes : {1u, 3u, 16u}) {
+    Rng rng(90 + lanes);
+    std::vector<Bits> lane_bits(lanes);
+    Bits soa((kFirst + 8 * kBytes + 6) * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      lane_bits[l] = rng.random_bits(soa.size() / lanes);
+      for (std::size_t i = 0; i < lane_bits[l].size(); ++i) {
+        soa[i * lanes + l] = lane_bits[l][i];
+      }
+    }
+    std::vector<Bytes> out(lanes, Bytes(3, 0xFF));  // stale contents
+    descramble_lanes_to_bytes(soa, lanes, 0x5D, kFirst, kBytes, out);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const Bits plain = scramble(lane_bits[l], 0x5D);
+      Bytes expected(kBytes, 0);
+      for (std::size_t i = 0; i < 8 * kBytes; ++i) {
+        expected[i / 8] |=
+            static_cast<std::uint8_t>(plain[kFirst + i] << (i % 8));
+      }
+      EXPECT_EQ(out[l], expected) << "lanes=" << lanes << " lane=" << l;
+    }
+  }
 }
 
 TEST(Convolutional, AllZeroInputGivesAllZeroOutput) {
