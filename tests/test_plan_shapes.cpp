@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "net/netsim.h"
 #include "net/shard.h"
+#include "obs/trace.h"
 #include "par/montecarlo.h"
 #include "par/pool.h"
 #include "support/plan_shapes.h"
@@ -21,6 +22,7 @@ namespace wlan {
 namespace {
 
 using plan_shapes::Scenario;
+using plan_shapes::ShapeRun;
 
 // --- Caller-stream contract ------------------------------------------
 
@@ -185,6 +187,123 @@ TEST(PlanShapes, RandomDeploymentsAgreeAcrossShapesAndJobs) {
     const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
     EXPECT_GT(runs.component.tiled.result.total_delivered, 0u);
   }
+}
+
+// --- Pinned outputs --------------------------------------------------
+//
+// The shape contracts above compare the engine with itself, so an engine
+// change that moves tiled and reference runs the same way passes them.
+// These pin the integer outputs of three seeded runs exactly; a change
+// that alters the simulated physics must update them on purpose.
+
+/// Per-flow delivered/attempts/retries/drops, then the network counters
+/// and the border exchange totals, as one line.
+std::string pinned_outputs(const net::NetworkResult& r) {
+  std::string out = "flows";
+  for (const net::FlowStats& f : r.flows) {
+    out += ' ' + std::to_string(f.delivered) + '/' +
+           std::to_string(f.attempts) + '/' + std::to_string(f.retries) +
+           '/' + std::to_string(f.drops);
+  }
+  out += " data_tx=" + std::to_string(r.data_tx_count) +
+         " data_failures=" + std::to_string(r.data_failures) +
+         " rts_tx=" + std::to_string(r.rts_tx_count) +
+         " rts_failures=" + std::to_string(r.rts_failures) +
+         " simultaneous_starts=" + std::to_string(r.simultaneous_starts) +
+         " messages=" + std::to_string(r.border.messages) +
+         " epochs=" + std::to_string(r.border.epochs);
+  return out;
+}
+
+/// Counts the NAV settings that arrived through border influence.
+class RemoteNavCounter final : public obs::TraceSink {
+ public:
+  void record(const obs::TraceEvent& e) override {
+    if (e.type == obs::EventType::kNavSet &&
+        std::string(e.detail) == "REMOTE")
+      ++count;
+  }
+  std::uint64_t count = 0;
+};
+
+/// One cell per 5 km: an AP, two clients 90 m apart on either side of it
+/// (hidden from each other), a near client, and a downlink flow from the
+/// AP, so an RTS's addressee also contends for the medium.
+Scenario hidden_cells() {
+  Scenario s;
+  s.config.duration_s = 0.1;
+  for (const double x0 : {0.0, 5000.0}) {
+    const std::size_t ap = s.nodes.size();
+    s.nodes.push_back({{x0, 0.0}});
+    for (const double dx : {-45.0, 45.0}) {
+      s.nodes.push_back({{x0 + dx, 0.0}});
+      s.flows.push_back({s.nodes.size() - 1, ap});
+    }
+    s.nodes.push_back({{x0, 20.0}});
+    s.flows.push_back({s.nodes.size() - 1, ap, 400.0});
+    s.flows.push_back({ap, s.nodes.size() - 1, 300.0});
+  }
+  return s;
+}
+
+TEST(PinnedOutputs, SinrThresholdWithRtsOnAComponentPlan) {
+  Scenario s = hidden_cells();
+  s.config.rts_cts = true;
+  net::ShardOptions opt;
+  opt.jobs = 4;
+  const ShapeRun run = plan_shapes::run_sharded(s, opt);
+  EXPECT_EQ(pinned_outputs(run.result),
+            "flows 83/95/11/0 3/11/8/0 45/45/0/0 26/26/0/0 77/100/23/0 "
+            "12/33/21/0 35/36/1/0 26/28/1/0 data_tx=309 data_failures=0 "
+            "rts_tx=374 rts_failures=65 simultaneous_starts=15 messages=0 "
+            "epochs=0");
+}
+
+TEST(PinnedOutputs, OfdmPerWithArf) {
+  Scenario s = hidden_cells();
+  s.config.duration_s = 0.05;
+  s.config.error_model.model = net::RxModel::kPerModel;
+  s.config.error_model.shadowing_sigma_db = 4.0;
+  s.config.error_model.realizations = 8;
+  s.config.rate_control = net::RateControlMode::kArf;
+  Rng rng(s.seed);
+  const auto r = net::simulate_network(s.config, s.nodes, s.flows, rng);
+  EXPECT_EQ(pinned_outputs(r),
+            "flows 4/8/4/0 5/8/3/0 12/13/1/0 8/10/2/0 0/5/5/0 0/5/5/0 "
+            "13/16/2/0 11/13/2/0 data_tx=78 data_failures=24 rts_tx=0 "
+            "rts_failures=0 simultaneous_starts=8 messages=0 epochs=0");
+}
+
+TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
+  // Cells 50 m apart in one row, one 50 m tile each: neighbors across a
+  // tile edge sit inside carrier-sense range, so RTS durations set NAV
+  // through border influence.
+  Scenario s;
+  s.config.duration_s = 0.05;
+  s.config.rts_cts = true;
+  for (std::size_t c = 0; c < 5; ++c) {
+    const double x0 = 25.0 + 50.0 * static_cast<double>(c);
+    const std::size_t ap = s.nodes.size();
+    s.nodes.push_back({{x0, 25.0}});
+    for (const double dy : {-15.0, 15.0}) {
+      s.nodes.push_back({{x0 + 10.0, 25.0 + dy}});
+      s.flows.push_back({s.nodes.size() - 1, ap});
+    }
+  }
+  RemoteNavCounter remote;
+  s.config.trace = &remote;
+  net::ShardOptions opt;
+  opt.border = true;
+  opt.border_tile_m = 50.0;
+  opt.jobs = 4;
+  const ShapeRun run = plan_shapes::run_sharded(s, opt);
+  EXPECT_EQ(run.result.border.tiles, 5u);
+  EXPECT_GT(remote.count, 0u);
+  EXPECT_EQ(pinned_outputs(run.result),
+            "flows 34/42/7/0 25/32/7/0 11/12/1/0 13/14/1/0 25/28/3/0 "
+            "24/28/3/0 12/13/1/0 10/11/1/0 32/35/3/0 32/36/3/0 data_tx=221 "
+            "data_failures=0 rts_tx=251 rts_failures=30 "
+            "simultaneous_starts=26 messages=3648 epochs=2969");
 }
 
 // --- Pool selection --------------------------------------------------
