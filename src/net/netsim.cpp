@@ -63,6 +63,24 @@ struct Transmission {
   std::uint32_t next = kNil;
 };
 
+/// One transmitter's received power at the engine's nodes it reaches:
+/// a local CSR row, or the inbound row of a remote transmitter into this
+/// tile. Receivers are local ids, ascending; a row never holds its own
+/// transmitter.
+struct PowerRow {
+  const std::uint32_t* rx = nullptr;
+  const double* gain_w = nullptr;
+  std::size_t size = 0;
+
+  /// Received power at local node `m`; exactly zero outside the row
+  /// (the cutoff's definition of negligible).
+  double at(std::size_t m) const {
+    const std::uint32_t* end = rx + size;
+    const std::uint32_t* it = std::lower_bound(rx, end, m);
+    return it == end || *it != m ? 0.0 : gain_w[it - rx];
+  }
+};
+
 enum class WaitKind { kNone, kCts, kAck };
 
 // ---- border exchange (conservative time) ----
@@ -203,15 +221,14 @@ class Engine {
       cs_w_[l] = dbm_to_watt(node.cs_threshold_dbm);
     }
 
-    // Neighbor CSR with deterministic received powers per edge — the
-    // sparse replacement for the dense gain matrix. It keeps only
-    // same-shard edges, so rx_power_w is exactly zero across tiles;
-    // cross-tile power arrives solely through delayed influence
-    // records, built from the cross tables below. A component plan has
-    // no cross-tile edges, so its tables stay empty. Shadowing factors
-    // come from per-pair streams keyed by global ids (large-scale
-    // fading is reciprocal), so every engine layout computes the
-    // identical factor.
+    // Power rows with deterministic received powers per edge: one local
+    // CSR row per node over its same-shard neighbors, then one inbound
+    // row per (remote origin, this tile). Local rows hold no cross-tile
+    // receiver: cross-tile power arrives solely through delayed
+    // influence records, which apply the inbound rows; a component plan
+    // has none. Shadowing factors come from per-pair streams keyed by
+    // global ids (large-scale fading is reciprocal), so every engine
+    // layout computes the identical factor.
     const std::uint64_t shadow_root = par::derive_seed(root, 4, 0);
     const bool shadowed =
         per_model_ && config.error_model.shadowing_sigma_db > 0.0;
@@ -273,10 +290,12 @@ class Engine {
     std::sort(peer_tiles_.begin(), peer_tiles_.end());
     peer_tiles_.erase(std::unique(peer_tiles_.begin(), peer_tiles_.end()),
                       peer_tiles_.end());
-    inbound_flat_.reserve(inbound_rows.size());
-    for (auto& [key, row] : inbound_rows) {
-      inbound_[key] = Span{inbound_flat_.size(), row.size()};
-      inbound_flat_.insert(inbound_flat_.end(), row.begin(), row.end());
+    for (const auto& [key, row] : inbound_rows) {
+      inbound_[key] = {row_nbr_.size(), row_nbr_.size() + row.size()};
+      for (const auto& [l, gain] : row) {
+        row_nbr_.push_back(l);
+        row_gain_.push_back(gain);
+      }
     }
     mac_rng_.reserve(n_);
     rx_rng_.reserve(n_);
@@ -305,7 +324,6 @@ class Engine {
     transmitting_.assign(n_, 0);
     waiting_.assign(n_, WaitKind::kNone);
     wait_version_.assign(n_, 0);
-    sequence_.assign(n_, 0);
     rate_index_.assign(n_, 0);
     arf_.resize(n_);
     for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -577,11 +595,6 @@ class Engine {
   /// Data-frame airtime at station `n`'s current rate.
   double t_data(std::size_t n) const { return t_data_by_rate_[rate_index_[n]]; }
 
-  void record_data_rate(std::size_t flow, std::size_t rate_index) {
-    rate_stats_[flow].rate_sum_mbps += data_rates_[rate_index];
-    ++rate_stats_[flow].attempts;
-  }
-
   /// PER model governing a transmission's reception. CTS and ACK
   /// frames are addressed to the station that sourced the exchange, so
   /// their flow is recovered from the destination.
@@ -601,21 +614,81 @@ class Engine {
     return models_.front().ctrl_rev;
   }
 
-  /// Edge index of neighbor `to` in `from`'s row (rows are ascending);
-  /// kNil when the pair is uncoupled.
-  std::uint32_t edge_index(std::size_t from, std::uint32_t to) const {
-    const auto begin = row_nbr_.begin() + row_off_[from];
-    const auto end = row_nbr_.begin() + row_off_[from + 1];
-    const auto it = std::lower_bound(begin, end, to);
-    if (it == end || *it != to) return kNil;
-    return static_cast<std::uint32_t>(it - row_nbr_.begin());
+  // ---- power rows ----
+
+  PowerRow power_row(std::size_t begin, std::size_t end) const {
+    return {row_nbr_.data() + begin, row_gain_.data() + begin, end - begin};
   }
 
-  /// Received power at `to` from `from`; exactly zero for uncoupled
-  /// pairs (the cutoff's definition of negligible).
-  double rx_power_w(std::size_t from, std::size_t to) const {
-    const std::uint32_t e = edge_index(from, static_cast<std::uint32_t>(to));
-    return e == kNil ? 0.0 : row_gain_[e];
+  /// Local node `n`'s transmissions at its same-shard neighbors.
+  PowerRow local_row(std::size_t n) const {
+    return power_row(row_off_[n], row_off_[n + 1]);
+  }
+
+  /// A remote transmitter's power at the nodes of the tile it lands in.
+  PowerRow inbound_row(const InfluenceRec& rec) const {
+    const auto found = inbound_.find(
+        static_cast<std::uint64_t>(rec.origin) * n_tiles_ + rec.tile);
+    check(found != inbound_.end(), "border influence without inbound edges");
+    return power_row(found->second.first, found->second.second);
+  }
+
+  /// Switches one transmitter's power on or off along `row`: the
+  /// running ambient sums of its receivers (the peak calibrates the
+  /// clamp's rounding slack), and the interference at every ongoing
+  /// reception addressed into the row. Receptions addressed to the
+  /// transmitter itself lie outside its row, so they are skipped.
+  template <bool kOn>
+  void apply_power(const PowerRow& row) {
+    for (std::size_t i = 0; i < row.size; ++i) {
+      const std::uint32_t m = row.rx[i];
+      if constexpr (kOn) {
+        ambient_w_[m] += row.gain_w[i];
+        ambient_peak_w_[m] = std::max(ambient_peak_w_[m], ambient_w_[m]);
+      } else {
+        subtract_clamped(ambient_w_[m], row.gain_w[i], ambient_peak_w_[m],
+                         "ambient power went negative");
+      }
+    }
+    // Insertion-order walk over the ongoing receptions.
+    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+      Transmission& other = slots_[s];
+      if (other.dest == kNone) continue;
+      const double g = row.at(other.dest);
+      if (g <= 0.0) continue;
+      if constexpr (kOn) {
+        other.current_interference_w += g;
+        other.worst_interference_w = std::max(other.worst_interference_w,
+                                              other.current_interference_w);
+      } else {
+        // The sum was seeded from a snapshot of the destination's
+        // ambient sum, so it inherits that sum's rounding residue —
+        // scaled by the ambient's historical peak, which can dwarf this
+        // frame's own interference.
+        subtract_clamped(other.current_interference_w, g,
+                         std::max(other.worst_interference_w,
+                                  ambient_peak_w_[other.dest]),
+                         "reception interference went negative");
+      }
+    }
+  }
+
+  /// Overhearing receivers in `row` at or above their carrier-sense
+  /// threshold set their NAV from a duration field, except the frame's
+  /// addressee. A node outside the row hears the frame below the
+  /// cutoff, hence below every carrier-sense threshold by construction.
+  void overhear_nav(const PowerRow& row, double nav_until_s,
+                    std::size_t addressee, std::size_t peer,
+                    const char* detail) {
+    for (std::size_t i = 0; i < row.size; ++i) {
+      const std::uint32_t m = row.rx[i];
+      if (m == addressee || row.gain_w[i] < cs_w_[m] ||
+          nav_until_s <= nav_until_[m])
+        continue;
+      nav_until_[m] = nav_until_s;
+      emit(obs::EventType::kNavSet, m, peer, kNone, nav_until_s, detail);
+      arm_nav_wakeup(m);
+    }
   }
 
   bool medium_busy(std::size_t n) const {
@@ -684,17 +757,37 @@ class Engine {
     // checked NAV; NAV can only start via frame ends which re-evaluate.
   }
 
-  /// Re-evaluates the medium at `center` and its neighbors, ascending —
-  /// the only stations whose carrier-sense inputs an event at `center`
-  /// can have changed. On the unbounded plan this is every station, in
-  /// the same order the dense engine scanned them.
-  void update_medium_set(std::size_t center) {
+  /// Opens the fire list of one medium re-evaluation pass. Passes nest:
+  /// a fired station's transmission re-evaluates its own neighborhood
+  /// before the outer pass fires its next station.
+  std::size_t open_fire_list() {
     const std::size_t depth = fire_depth_++;
     if (fire_pool_.size() <= depth) fire_pool_.emplace_back();
     fire_pool_[depth].clear();
+    return depth;
+  }
+
+  /// Closes a pass: stations whose counters expired in the very slot the
+  /// medium went busy transmit anyway — the collision DCF is built
+  /// around.
+  void fire(std::size_t depth) {
+    simultaneous_starts_->add(fire_pool_[depth].size());
+    for (const std::uint32_t n : fire_pool_[depth]) {
+      emit(obs::EventType::kCollision, n, kNone, flow_of_[n], 0.0);
+      begin_exchange(n);
+    }
+    --fire_depth_;
+  }
+
+  /// Re-evaluates the medium at `center` and its neighbors, ascending —
+  /// the only stations whose carrier-sense inputs an event at `center`
+  /// can have changed. On the unbounded plan this is every station.
+  void update_medium_set(std::size_t center) {
+    const std::size_t depth = open_fire_list();
+    const PowerRow row = local_row(center);
     bool center_done = false;
-    for (std::size_t e = row_off_[center]; e < row_off_[center + 1]; ++e) {
-      const std::size_t m = row_nbr_[e];
+    for (std::size_t i = 0; i < row.size; ++i) {
+      const std::size_t m = row.rx[i];
       if (!center_done && center < m) {
         visit_medium(center, depth);
         center_done = true;
@@ -702,14 +795,15 @@ class Engine {
       visit_medium(m, depth);
     }
     if (!center_done) visit_medium(center, depth);
-    // Stations whose counters expired in the very slot the medium went
-    // busy transmit anyway — the collision DCF is built around.
-    simultaneous_starts_->add(fire_pool_[depth].size());
-    for (const std::uint32_t n : fire_pool_[depth]) {
-      emit(obs::EventType::kCollision, n, kNone, flow_of_[n], 0.0);
-      begin_exchange(n);
-    }
-    --fire_depth_;
+    fire(depth);
+  }
+
+  /// Single-node re-evaluation for NAV expiry: only `n`'s own medium
+  /// view changed, so no neighbor walk is needed.
+  void update_medium_node(std::size_t n) {
+    const std::size_t depth = open_fire_list();
+    visit_medium(n, depth);
+    fire(depth);
   }
 
   void visit_medium(std::size_t n, std::size_t depth) {
@@ -721,23 +815,6 @@ class Engine {
       maybe_start_countdown(n);
     }
     busy_prev_[n] = busy;
-  }
-
-  /// Single-node re-evaluation for NAV expiry: only `n`'s own medium
-  /// view changed, so no neighbor walk is needed.
-  void update_medium_node(std::size_t n) {
-    const bool busy = medium_busy(n);
-    const bool rising = busy && !busy_prev_[n];
-    busy_prev_[n] = busy;
-    if (rising) {
-      if (freeze(n)) {
-        simultaneous_starts_->add(1);
-        emit(obs::EventType::kCollision, n, kNone, flow_of_[n], 0.0);
-        begin_exchange(n);
-      }
-    } else if (!busy) {
-      maybe_start_countdown(n);
-    }
   }
 
   /// One pending NAV wakeup per node, however many NAV_SETs pile up: a
@@ -759,28 +836,24 @@ class Engine {
 
   // ---- border influence (cross-tile edges only) ----
 
-  /// Queues one influence unit per tile this transmission couples into.
-  /// Fused: the start/end records go straight onto the local influence
-  /// map. Per-tile: a BorderMsg goes to the outbox for the epoch driver
-  /// to route; the receiver expands it into the same two records with
-  /// the same floating-point apply times.
-  void queue_influence(std::size_t n, double duration_s, double end_s,
-                       double nav_until_s) {
+  /// Queues one BorderMsg per tile this transmission couples into.
+  /// Fused: the engine injects it into itself at once. Per-tile: it goes
+  /// to the outbox for the epoch driver to route. Either way
+  /// inject_border expands it into the same two records with the same
+  /// floating-point apply times.
+  void queue_influence(std::size_t n, double duration_s, double nav_until_s) {
     const std::size_t b = out_off_[n];
     const std::size_t e = out_off_[n + 1];
     if (b == e) return;
     const auto g = static_cast<std::uint32_t>(node_id_[n]);
     for (std::size_t i = b; i < e; ++i) {
-      const std::uint32_t tile = out_tile_[i];
       border_msgs_->add();
+      const BorderMsg msg{g, out_tile_[i], sched_.now(), duration_s,
+                          nav_until_s};
       if (fused_) {
-        add_influence(sched_.now() + delay_s_,
-                      InfluenceRec{g, tile, 0, 0.0});
-        add_influence(end_s + delay_s_,
-                      InfluenceRec{g, tile, 1, nav_until_s});
+        inject_border(msg);
       } else {
-        outbox_.push_back(
-            BorderMsg{g, tile, sched_.now(), duration_s, nav_until_s});
+        outbox_.push_back(msg);
       }
     }
   }
@@ -800,8 +873,7 @@ class Engine {
   /// transmissions never share a start or an end instant — so ambient
   /// and interference sums see the identical operation sequence in the
   /// fused and per-tile runs. Affected nodes then re-evaluate their
-  /// medium ascending, with the same fire discipline as
-  /// update_medium_set.
+  /// medium ascending in one pass.
   void apply_influence(double w) {
     const auto found = influence_.find(w);
     check(found != influence_.end(), "influence records lost");
@@ -815,86 +887,26 @@ class Engine {
               });
     affected_.clear();
     for (const InfluenceRec& rec : recs) {
-      const auto span = inbound_.find(
-          static_cast<std::uint64_t>(rec.origin) * n_tiles_ + rec.tile);
-      check(span != inbound_.end(), "border influence without inbound edges");
-      const std::size_t off = span->second.off;
-      const std::size_t len = span->second.len;
+      const PowerRow row = inbound_row(rec);
       if (rec.kind == 0) {
-        for (std::size_t i = off; i < off + len; ++i) {
-          const auto [m, gain] = inbound_flat_[i];
-          ambient_w_[m] += gain;
-          ambient_peak_w_[m] = std::max(ambient_peak_w_[m], ambient_w_[m]);
-        }
+        apply_power<true>(row);
       } else {
-        for (std::size_t i = off; i < off + len; ++i) {
-          const auto [m, gain] = inbound_flat_[i];
-          subtract_clamped(ambient_w_[m], gain, ambient_peak_w_[m],
-                           "remote ambient power went negative");
-        }
+        apply_power<false>(row);
+        // Remote NAV from the transmission's duration field, applied at
+        // the end record like the local overhear path. Already-expired
+        // promises are skipped (deterministically — the record carries
+        // the same values in both modes).
+        if (rec.nav_until_s > w)
+          overhear_nav(row, rec.nav_until_s, kNone, kNone, "REMOTE");
       }
-      // Ongoing receptions addressed inside the span gain or lose the
-      // remote interference (insertion-order walk, like the local one).
-      for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-        Transmission& other = slots_[s];
-        if (other.dest == kNone) continue;
-        const double gain = span_gain(off, len, other.dest);
-        if (gain <= 0.0) continue;
-        if (rec.kind == 0) {
-          other.current_interference_w += gain;
-          other.worst_interference_w = std::max(other.worst_interference_w,
-                                                other.current_interference_w);
-        } else {
-          subtract_clamped(other.current_interference_w, gain,
-                           std::max(other.worst_interference_w,
-                                    ambient_peak_w_[other.dest]),
-                           "remote reception interference went negative");
-        }
-      }
-      // Remote NAV from the transmission's duration field, applied at
-      // the end record like the local overhear path. Already-expired
-      // promises are skipped (deterministically — the record carries
-      // the same values in both modes).
-      if (rec.kind == 1 && rec.nav_until_s > w) {
-        for (std::size_t i = off; i < off + len; ++i) {
-          const auto [m, gain] = inbound_flat_[i];
-          if (gain >= cs_w_[m] && rec.nav_until_s > nav_until_[m]) {
-            nav_until_[m] = rec.nav_until_s;
-            emit(obs::EventType::kNavSet, m, kNone, kNone, rec.nav_until_s,
-                 "REMOTE");
-            arm_nav_wakeup(m);
-          }
-        }
-      }
-      for (std::size_t i = off; i < off + len; ++i)
-        affected_.push_back(inbound_flat_[i].first);
+      affected_.insert(affected_.end(), row.rx, row.rx + row.size);
     }
     std::sort(affected_.begin(), affected_.end());
     affected_.erase(std::unique(affected_.begin(), affected_.end()),
                     affected_.end());
-    const std::size_t depth = fire_depth_++;
-    if (fire_pool_.size() <= depth) fire_pool_.emplace_back();
-    fire_pool_[depth].clear();
+    const std::size_t depth = open_fire_list();
     for (const std::uint32_t m : affected_) visit_medium(m, depth);
-    simultaneous_starts_->add(fire_pool_[depth].size());
-    for (const std::uint32_t m : fire_pool_[depth]) {
-      emit(obs::EventType::kCollision, m, kNone, flow_of_[m], 0.0);
-      begin_exchange(m);
-    }
-    --fire_depth_;
-  }
-
-  /// Binary search of an inbound span (ascending local node) for `dest`.
-  double span_gain(std::size_t off, std::size_t len, std::size_t dest) const {
-    const auto begin = inbound_flat_.begin() + static_cast<std::ptrdiff_t>(off);
-    const auto end = begin + static_cast<std::ptrdiff_t>(len);
-    const auto it = std::lower_bound(
-        begin, end, dest,
-        [](const std::pair<std::uint32_t, double>& p, std::size_t d) {
-          return p.first < d;
-        });
-    if (it == end || it->first != dest) return 0.0;
-    return it->second;
+    fire(depth);
   }
 
   // ---- transmissions ----
@@ -922,30 +934,18 @@ class Engine {
       if (transmitting_[dest]) t.rx_was_transmitting = true;
       t.worst_interference_w = t.current_interference_w;
     }
-    // This transmission interferes with every other ongoing reception.
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      Transmission& other = slots_[s];
-      if (other.dest == kNone || other.dest == n) continue;
-      other.current_interference_w += rx_power_w(n, other.dest);
-      other.worst_interference_w =
-          std::max(other.worst_interference_w, other.current_interference_w);
-    }
-    // And if any ongoing reception is addressed to us, it is now lost.
+    // This transmission interferes with every other ongoing reception
+    // (it is not in the list yet), and any reception addressed to us is
+    // now lost.
+    apply_power<true>(local_row(n));
     for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
       if (slots_[s].dest == n) slots_[s].rx_was_transmitting = true;
     }
     emit(obs::EventType::kTxStart, n, dest, flow, duration_s,
          frame_name(kind), t.id);
-    queue_influence(n, duration_s, t.end_s, nav_until_s);
+    queue_influence(n, duration_s, nav_until_s);
     const std::size_t id = t.id;
     const std::uint32_t slot = push_active(t);
-    // Fold this signal into the running ambient sums of every neighbor
-    // (the peak calibrates the teardown clamp's rounding slack).
-    for (std::size_t e = row_off_[n]; e < row_off_[n + 1]; ++e) {
-      const std::size_t m = row_nbr_[e];
-      ambient_w_[m] += row_gain_[e];
-      ambient_peak_w_[m] = std::max(ambient_peak_w_[m], ambient_w_[m]);
-    }
     update_medium_set(n);
     sched_.schedule(duration_s, [this, slot, id] {
       end_transmission(slot, id);
@@ -961,27 +961,8 @@ class Engine {
     transmitting_[t.tx_node] = 0;
     // Remove this signal from the neighbors' ambient sums and from
     // other ongoing receptions' interference.
-    for (std::size_t e = row_off_[t.tx_node]; e < row_off_[t.tx_node + 1];
-         ++e) {
-      const std::size_t m = row_nbr_[e];
-      subtract_clamped(ambient_w_[m], row_gain_[e], ambient_peak_w_[m],
-                       "ambient power went negative");
-    }
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      Transmission& other = slots_[s];
-      if (other.dest == kNone || other.dest == t.tx_node) continue;
-      const double g = rx_power_w(t.tx_node, other.dest);
-      if (g > 0.0) {
-        // The sum was seeded from a snapshot of the destination's
-        // ambient sum, so it inherits that sum's rounding residue —
-        // scaled by the ambient's historical peak, which can dwarf this
-        // frame's own interference.
-        subtract_clamped(other.current_interference_w, g,
-                         std::max(other.worst_interference_w,
-                                  ambient_peak_w_[other.dest]),
-                         "reception interference went negative");
-      }
-    }
+    const PowerRow row = local_row(t.tx_node);
+    apply_power<false>(row);
 
     emit(obs::EventType::kTxEnd, t.tx_node, t.dest, t.flow,
          t.end_s - t.start_s, frame_name(t.kind), t.id);
@@ -991,7 +972,7 @@ class Engine {
     double sinr_db = -std::numeric_limits<double>::infinity();
     if (t.dest != kNone && !t.rx_was_transmitting &&
         !transmitting_[t.dest]) {
-      const double signal = rx_power_w(t.tx_node, t.dest);
+      const double signal = row.at(t.dest);
       const double sinr =
           signal / (noise_w_[t.dest] + t.worst_interference_w);
       sinr_db = lin_to_db(sinr);
@@ -1026,24 +1007,7 @@ class Engine {
            t.dest, t.tx_node, t.flow, sinr_db, frame_name(t.kind), t.id);
     }
 
-    // Overhearing neighbors set their NAV from the duration field (a
-    // non-neighbor's received power is below the cutoff, hence below
-    // every carrier-sense threshold by construction).
-    for (std::size_t e = row_off_[t.tx_node]; e < row_off_[t.tx_node + 1];
-         ++e) {
-      const std::size_t n = row_nbr_[e];
-      if (n == t.dest) continue;
-      if (row_gain_[e] >= cs_w_[n]) {
-        if (t.nav_until_s > nav_until_[n]) {
-          nav_until_[n] = t.nav_until_s;
-          emit(obs::EventType::kNavSet, n, t.tx_node, kNone, t.nav_until_s,
-               frame_name(t.kind));
-          // Re-evaluate this node when its NAV expires (coalesced: at
-          // most one pending wakeup per node).
-          arm_nav_wakeup(n);
-        }
-      }
-    }
+    overhear_nav(row, t.nav_until_s, t.dest, t.tx_node, frame_name(t.kind));
 
     handle_frame_outcome(t, delivered);
     update_medium_set(t.tx_node);
@@ -1104,14 +1068,22 @@ class Engine {
       arm_timeout(n, WaitKind::kCts,
                   t_rts_ + timing_.sifs_s + t_cts_ + timing_.slot_s);
     } else {
-      const double nav = sched_.now() + td + timing_.sifs_s + t_ack_;
-      data_tx_->add();
-      record_data_rate(flow, rate_index_[n]);
-      start_transmission(n, dest_of_[n], mac::FrameType::kData, flow, td,
-                         nav);
-      arm_timeout(n, WaitKind::kAck,
-                  td + timing_.sifs_s + t_ack_ + timing_.slot_s);
+      send_data(n, sched_.now() + td + timing_.sifs_s + t_ack_);
     }
+  }
+
+  /// Sends station `n`'s data frame at its current rate, with the
+  /// exchange's NAV promise, and arms the ACK timeout.
+  void send_data(std::size_t n, double nav_until_s) {
+    const std::size_t flow = flow_of_[n];
+    const double td = t_data(n);
+    data_tx_->add();
+    rate_stats_[flow].rate_sum_mbps += data_rates_[rate_index_[n]];
+    ++rate_stats_[flow].attempts;
+    start_transmission(n, dest_of_[n], mac::FrameType::kData, flow, td,
+                       nav_until_s);
+    arm_timeout(n, WaitKind::kAck,
+                td + timing_.sifs_s + t_ack_ + timing_.slot_s);
   }
 
   void arm_timeout(std::size_t n, WaitKind kind, double delay_s) {
@@ -1169,7 +1141,6 @@ class Engine {
     }
     retries_count_[n] = 0;
     cw_[n] = timing_.cw_min;
-    ++sequence_[n];
     slots_remaining_[n] = draw_backoff(n);  // next packet, if any
     maybe_start_countdown(n);
   }
@@ -1196,15 +1167,8 @@ class Engine {
         waiting_[src] = WaitKind::kNone;
         ++wait_version_[src];
         const double nav = t.nav_until_s;
-        sched_.schedule(timing_.sifs_s, [this, src, nav] {
-          const double td = t_data(src);
-          data_tx_->add();
-          record_data_rate(flow_of_[src], rate_index_[src]);
-          start_transmission(src, dest_of_[src], mac::FrameType::kData,
-                             flow_of_[src], td, nav);
-          arm_timeout(src, WaitKind::kAck,
-                      td + timing_.sifs_s + t_ack_ + timing_.slot_s);
-        });
+        sched_.schedule(timing_.sifs_s,
+                        [this, src, nav] { send_data(src, nav); });
         break;
       }
       case mac::FrameType::kData: {
@@ -1240,7 +1204,8 @@ class Engine {
   std::vector<std::size_t> flow_id_;  // local -> global flow
   std::vector<std::uint32_t> flow_src_;  // local flow -> local source
   std::vector<double> arrival_rate_;     // per local flow
-  // Neighbor CSR with per-edge received power (W).
+  // Power rows: received power (W) per edge. The local CSR rows
+  // (row_off_, one per node) come first, the inbound rows after them.
   std::vector<std::size_t> row_off_;
   std::vector<std::uint32_t> row_nbr_;
   std::vector<double> row_gain_;
@@ -1265,7 +1230,6 @@ class Engine {
   std::vector<std::uint8_t> transmitting_;
   std::vector<WaitKind> waiting_;
   std::vector<std::uint64_t> wait_version_;
-  std::vector<std::uint16_t> sequence_;
   std::vector<std::size_t> rate_index_;
   std::vector<std::optional<mac::ArfController>> arf_;
   // Active transmissions: slot arena + insertion-order intrusive list.
@@ -1320,14 +1284,10 @@ class Engine {
   bool fused_ = false;   // one engine simulates every tile (reference)
   double delay_s_ = 0.0;  // cross-tile influence delay = plan lookahead
   std::size_t n_tiles_ = 0;
-  struct Span {
-    std::size_t off = 0;
-    std::size_t len = 0;
-  };
-  /// (origin global id * n_tiles + target tile) -> span of
-  /// (local node, received power W), ascending by local node.
-  std::unordered_map<std::uint64_t, Span> inbound_;
-  std::vector<std::pair<std::uint32_t, double>> inbound_flat_;
+  /// (origin global id * n_tiles + target tile) -> [begin, end) of its
+  /// inbound power row in row_nbr_/row_gain_.
+  std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
+      inbound_;
   /// Per local node: the tiles its transmissions influence (CSR).
   std::vector<std::size_t> out_off_;
   std::vector<std::uint32_t> out_tile_;
