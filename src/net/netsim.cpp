@@ -1,1307 +1,29 @@
 #include "net/netsim.h"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <map>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
-#include "common/units.h"
-#include "mac/frames.h"
-#include "mac/rate_adapt.h"
+#include "net/engine.h"
+#include "net/merge.h"
 #include "net/shard.h"
 #include "obs/perf.h"
 #include "par/montecarlo.h"
 #include "par/pool.h"
-#include "phy/ofdm.h"
-#include "sim/scheduler.h"
-#include "sim/stats.h"
 
 namespace wlan::net {
 namespace {
 
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-const char* frame_name(mac::FrameType kind) {
-  switch (kind) {
-    case mac::FrameType::kData: return "DATA";
-    case mac::FrameType::kAck: return "ACK";
-    case mac::FrameType::kRts: return "RTS";
-    case mac::FrameType::kCts: return "CTS";
-    case mac::FrameType::kBeacon: return "BEACON";
-  }
-  return "?";
-}
-
-struct Transmission {
-  std::size_t id = 0;
-  std::size_t tx_node = kNone;  // local (shard) index
-  std::size_t dest = kNone;     // addressed node (kNone for none)
-  mac::FrameType kind = mac::FrameType::kData;
-  std::size_t flow = kNone;    // local flow index
-  std::size_t rate_index = 0;  // data-rate ladder index (kData only)
-  double start_s = 0.0;
-  double end_s = 0.0;
-  double nav_until_s = 0.0;  // what the duration field promises
-  // Reception tracking at the addressed node.
-  double current_interference_w = 0.0;
-  double worst_interference_w = 0.0;
-  bool rx_was_transmitting = false;
-  // Slot-arena bookkeeping: insertion-order intrusive list, so walks
-  // see transmissions oldest-first and teardown is O(1) by slot handle.
-  bool in_use = false;
-  std::uint32_t prev = kNil;
-  std::uint32_t next = kNil;
-};
-
-/// One transmitter's received power at the engine's nodes it reaches:
-/// a local CSR row, or the inbound row of a remote transmitter into this
-/// tile. Receivers are local ids, ascending; a row never holds its own
-/// transmitter.
-struct PowerRow {
-  const std::uint32_t* rx = nullptr;
-  const double* gain_w = nullptr;
-  std::size_t size = 0;
-
-  /// Received power at local node `m`; exactly zero outside the row
-  /// (the cutoff's definition of negligible).
-  double at(std::size_t m) const {
-    const std::uint32_t* end = rx + size;
-    const std::uint32_t* it = std::lower_bound(rx, end, m);
-    return it == end || *it != m ? 0.0 : gain_w[it - rx];
-  }
-};
-
-enum class WaitKind { kNone, kCts, kAck };
-
-// ---- border exchange (conservative time) ----
-//
-// Zero propagation delay makes the true lookahead of this model zero,
-// so border mode *defines* cross-tile influence — ambient power, NAV,
-// interference on ongoing receptions — to act exactly `delay_s` (the
-// plan's lookahead) after the transmission event that caused it, while
-// intra-tile influence stays immediate. That uniform delay is part of
-// the model's semantics, not an approximation knob: the fused reference
-// (one engine over every tile, same delayed records) and the per-tile
-// lockstep run implement the *same* model and agree bitwise.
-
-/// One transmission's influence on one neighboring tile. Emitted at TX
-/// start (the end time is already determined then), routed between
-/// epochs, expanded by the receiver into a start record applied at
-/// `start_s + delay` and an end record at `(start_s + duration_s) +
-/// delay` — the identical floating-point expressions the fused engine
-/// evaluates, so both modes schedule the identical apply times.
-struct BorderMsg {
-  std::uint32_t origin = 0;       // global node id of the transmitter
-  std::uint32_t target_tile = 0;  // shard the influence lands in
-  double start_s = 0.0;
-  double duration_s = 0.0;
-  double nav_until_s = 0.0;
-};
-
-/// Subtracts an interferer's power from a running sum. Incremental
-/// add/subtract leaves rounding residues, so the result can dip below
-/// zero legitimately — but only by an amount set by machine epsilon and
-/// the scales involved: relative to the term just removed, or to the
-/// sum's running peak (a 1e-30 W remote signal folded into a 1e-6 W sum
-/// is absorbed entirely by rounding, so removing it can undershoot by
-/// ~eps * peak, far more than any multiple of the term itself).
-/// Anything beyond that slack means double-subtraction — a bookkeeping
-/// bug — and aborts; the legitimate residue clamps to exactly zero.
-void subtract_clamped(double& sum_w, double term_w, double peak_w,
-                      const char* what) {
-  sum_w -= term_w;
-  if (sum_w < 0.0) {
-    check(sum_w >= -(1e-9 * term_w + 1e-12 * peak_w), what);
-    sum_w = 0.0;
-  }
-}
-
-/// Data-rate ladder: one fixed rate, or the eight OFDM rates for ARF.
-std::vector<double> data_rate_ladder(const NetworkConfig& config) {
-  if (config.rate_control != RateControlMode::kArf)
-    return {config.data_rate_mbps};
-  check(config.error_model.model == RxModel::kPerModel,
-        "ARF rate control requires the PER error model");
-  check(config.generation == mac::PhyGeneration::kOfdm,
-        "ARF rate control is implemented for the OFDM generation");
-  std::vector<double> rates;
-  for (std::size_t i = 0; i < 8; ++i) {
-    rates.push_back(
-        phy::ofdm_mcs_info(static_cast<phy::OfdmMcs>(i)).data_rate_mbps);
-  }
-  return rates;
-}
-
-/// PER tables the network's frames read, in a fixed layout: data frames
-/// at each ladder rate, then RTS, then CTS/ACK. Control frames ride the
-/// basic rate; an HT network still sends them as legacy OFDM.
-std::vector<PerTableKey> per_table_keys(const NetworkConfig& config) {
-  const std::size_t data_mpdu =
-      mac::mpdu_size_bytes(mac::FrameType::kData, config.payload_bytes);
-  std::vector<PerTableKey> keys;
-  for (const double rate : data_rate_ladder(config))
-    keys.push_back({config.generation, rate, data_mpdu});
-  const mac::PhyGeneration ctrl_gen =
-      config.generation == mac::PhyGeneration::kHt ? mac::PhyGeneration::kOfdm
-                                                   : config.generation;
-  keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kRtsBytes});
-  keys.push_back({ctrl_gen, config.basic_rate_mbps, mac::kAckBytes});
-  return keys;
-}
-
-/// One shard's simulation: a self-contained event engine over the
-/// shard's member nodes, indexed locally (0..n-1). The monolithic
-/// `simulate_network` runs the same engine on the single shard of an
-/// unbounded plan, so sharded and monolithic execution share every
-/// instruction of the hot path — shard-vs-monolith equivalence is by
-/// construction, not by parallel maintenance of two code paths.
-///
-/// Station state is structure-of-arrays: the medium walk touches
-/// transmitting/nav/ambient/busy_prev for a handful of neighbors per
-/// event, and parallel arrays keep those lines dense instead of
-/// striding over cold per-station protocol state.
-class Engine {
- public:
-  /// A pending cross-tile influence record. Declared up top so
-  /// member-function parameter lists can name it.
-  struct InfluenceRec {
-    std::uint32_t origin;     // global node id of the transmitter
-    std::uint32_t tile;       // target tile (sort key; fused spans many)
-    std::uint8_t kind;        // 0 = start, 1 = end
-    double nav_until_s;       // end records carry the duration promise
-  };
-
-  /// Simulates shard `shard` of `plan`, or every node when `shard` is
-  /// kNone (the one-engine reference). All randomness comes from
-  /// per-entity streams derived from `root` and keyed by global ids —
-  /// per-node MAC backoff (1) and reception (2), per-flow arrivals (3)
-  /// and fading-pool indices (5), per-pair shadowing (4) — so the draw
-  /// sequence does not depend on how the nodes are split into engines.
-  Engine(const NetworkConfig& config, const std::vector<NodeConfig>& nodes,
-         const std::vector<Flow>& flows, const ShardPlan& plan,
-         std::size_t shard, std::uint64_t root, const FadingPool* pool,
-         obs::Registry* registry, obs::TraceSink* trace)
-      : config_(config),
-        // Disjoint frame ids per shard in a merged trace.
-        frame_id_base_(shard == kNone ? 0 : std::uint64_t{shard} << 40),
-        fused_(shard == kNone),
-        delay_s_(plan.lookahead_s) {
-    timing_ = mac::mac_timing(config.generation);
-    per_model_ = config.error_model.model == RxModel::kPerModel;
-    n_tiles_ = plan.shards.size();
-    std::vector<std::uint32_t> fused_members;
-    if (fused_) {
-      fused_members.resize(nodes.size());
-      std::iota(fused_members.begin(), fused_members.end(), 0u);
-    }
-    const std::vector<std::uint32_t>& members =
-        fused_ ? fused_members : plan.shards[shard];
-    n_ = members.size();
-    node_id_.assign(members.begin(), members.end());
-    std::vector<std::uint32_t> g2l(nodes.size(), kNil);
-    for (std::size_t l = 0; l < n_; ++l)
-      g2l[members[l]] = static_cast<std::uint32_t>(l);
-
-    noise_w_.resize(n_);
-    cs_w_.resize(n_);
-    for (std::size_t l = 0; l < n_; ++l) {
-      const NodeConfig& node = nodes[node_id_[l]];
-      noise_w_[l] = dbm_to_watt(
-          thermal_noise_dbm(config.bandwidth_hz, node.noise_figure_db));
-      cs_w_[l] = dbm_to_watt(node.cs_threshold_dbm);
-    }
-
-    // Power rows with deterministic received powers per edge: one local
-    // CSR row per node over its same-shard neighbors, then one inbound
-    // row per (remote origin, this tile). Local rows hold no cross-tile
-    // receiver: cross-tile power arrives solely through delayed
-    // influence records, which apply the inbound rows; a component plan
-    // has none. Shadowing factors come from per-pair streams keyed by
-    // global ids (large-scale fading is reciprocal), so every engine
-    // layout computes the identical factor.
-    const std::uint64_t shadow_root = par::derive_seed(root, 4, 0);
-    const bool shadowed =
-        per_model_ && config.error_model.shadowing_sigma_db > 0.0;
-    auto pair_factor = [&](std::uint32_t a, std::uint32_t b) {
-      if (!shadowed) return 1.0;
-      if (b < a) std::swap(a, b);
-      Rng pr(par::derive_seed(shadow_root, a, b));
-      return db_to_lin(
-          -pr.gaussian(0.0, config.error_model.shadowing_sigma_db));
-    };
-    auto gain_w = [&](std::uint32_t from_g, std::uint32_t to_g) {
-      const double d = std::max(
-          mesh::distance(nodes[from_g].position, nodes[to_g].position), 0.5);
-      return dbm_to_watt(nodes[from_g].tx_power_dbm -
-                         config.pathloss.path_loss_db(d)) *
-             pair_factor(from_g, to_g);
-    };
-    row_off_.assign(n_ + 1, 0);
-    out_off_.assign(n_ + 1, 0);
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::pair<std::uint32_t, double>>>
-        inbound_rows;
-    std::vector<std::uint32_t> out_scratch;
-    for (std::size_t l = 0; l < n_; ++l) {
-      row_off_[l] = row_nbr_.size();
-      out_off_[l] = out_tile_.size();
-      const std::size_t g = node_id_[l];
-      const std::uint32_t my_tile = plan.shard_of[g];
-      out_scratch.clear();
-      for (std::size_t e = plan.row_offset[g]; e < plan.row_offset[g + 1];
-           ++e) {
-        const std::uint32_t nbr_g = plan.nbr[e];
-        const std::uint32_t nbr_tile = plan.shard_of[nbr_g];
-        if (nbr_tile == my_tile) {
-          const std::uint32_t nbr_l = g2l[nbr_g];
-          check(nbr_l != kNil, "same-tile neighbor missing locally");
-          row_nbr_.push_back(nbr_l);
-          row_gain_.push_back(gain_w(static_cast<std::uint32_t>(g), nbr_g));
-        } else {
-          // Outbound: l's transmissions influence nbr_tile. Inbound:
-          // nbr_g's transmissions deposit power at l (ascending l per
-          // origin because the outer loop ascends).
-          out_scratch.push_back(nbr_tile);
-          inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ +
-                       my_tile]
-              .emplace_back(static_cast<std::uint32_t>(l),
-                            gain_w(nbr_g, static_cast<std::uint32_t>(g)));
-        }
-      }
-      std::sort(out_scratch.begin(), out_scratch.end());
-      out_scratch.erase(std::unique(out_scratch.begin(), out_scratch.end()),
-                        out_scratch.end());
-      out_tile_.insert(out_tile_.end(), out_scratch.begin(),
-                       out_scratch.end());
-    }
-    row_off_[n_] = row_nbr_.size();
-    out_off_[n_] = out_tile_.size();
-    peer_tiles_ = out_tile_;
-    std::sort(peer_tiles_.begin(), peer_tiles_.end());
-    peer_tiles_.erase(std::unique(peer_tiles_.begin(), peer_tiles_.end()),
-                      peer_tiles_.end());
-    for (const auto& [key, row] : inbound_rows) {
-      inbound_[key] = {row_nbr_.size(), row_nbr_.size() + row.size()};
-      for (const auto& [l, gain] : row) {
-        row_nbr_.push_back(l);
-        row_gain_.push_back(gain);
-      }
-    }
-    mac_rng_.reserve(n_);
-    rx_rng_.reserve(n_);
-    for (std::size_t l = 0; l < n_; ++l) {
-      mac_rng_.emplace_back(par::derive_seed(root, 1, node_id_[l]));
-      rx_rng_.emplace_back(par::derive_seed(root, 2, node_id_[l]));
-    }
-
-    // Station state (SoA) and the shard's flows, ascending by global
-    // flow index so local order is a subsequence of the global order.
-    flow_of_.assign(n_, kNone);
-    dest_of_.assign(n_, kNone);
-    saturated_.assign(n_, 1);
-    queue_.resize(n_);
-    cw_.assign(n_, timing_.cw_min);
-    retries_count_.assign(n_, 0);
-    slots_remaining_.assign(n_, 0);
-    counting_.assign(n_, 0);
-    count_start_s_.assign(n_, 0.0);
-    timer_version_.assign(n_, 0);
-    busy_prev_.assign(n_, 0);
-    nav_until_.assign(n_, 0.0);
-    nav_armed_.assign(n_, 0);
-    ambient_w_.assign(n_, 0.0);
-    ambient_peak_w_.assign(n_, 0.0);
-    transmitting_.assign(n_, 0);
-    waiting_.assign(n_, WaitKind::kNone);
-    wait_version_.assign(n_, 0);
-    rate_index_.assign(n_, 0);
-    arf_.resize(n_);
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-      const std::uint32_t src = g2l[flows[f].source];
-      if (src == kNil) continue;
-      const std::uint32_t dst = g2l[flows[f].destination];
-      check(dst != kNil, "flow endpoints fall in different shards");
-      check(flow_of_[src] == kNone, "each node may source at most one flow");
-      const std::size_t lf = flow_id_.size();
-      flow_id_.push_back(f);
-      flow_src_.push_back(src);
-      arrival_rate_.push_back(flows[f].arrival_rate_pps);
-      flow_of_[src] = lf;
-      dest_of_[src] = dst;
-      cw_[src] = timing_.cw_min;
-      slots_remaining_[src] = draw_backoff(src);
-      saturated_[src] = flows[f].arrival_rate_pps <= 0.0 ? 1 : 0;
-    }
-    n_flows_ = flow_id_.size();
-    result_.flows.resize(n_flows_);
-    arrival_rng_.reserve(n_flows_);
-    for (std::size_t f = 0; f < n_flows_; ++f)
-      arrival_rng_.emplace_back(par::derive_seed(root, 3, flow_id_[f]));
-
-    // All counters live in a metrics registry (the caller's, if given);
-    // NetworkResult is populated from it after the run. Per-flow labels
-    // carry GLOBAL flow ids, so shard registries hold disjoint per-flow
-    // instruments and merge into the same names a monolithic run uses.
-    registry_ = registry ? registry : &local_registry_;
-    trace_ = trace;
-    if (config.airtime) {
-      obs::AirtimeAccountant::Config ac;
-      ac.n_nodes = n_;
-      ac.n_flows = n_flows_;
-      ac.window_s = config.airtime_window_s;
-      ac.payload_bits = static_cast<double>(config.payload_bytes) * 8.0;
-      ac.node_ids = node_id_;
-      ac.flow_ids = flow_id_;
-      airtime_ = std::make_unique<obs::AirtimeAccountant>(ac);
-    }
-    if (config.lifecycle.enabled) {
-      obs::FrameLedger::Config lc;
-      lc.n_flows = n_flows_;
-      lc.hist_lo = config.lifecycle.hist_lo_s;
-      lc.hist_hi = config.lifecycle.hist_hi_s;
-      lc.hist_bins = config.lifecycle.hist_bins;
-      lc.registry = registry_;
-      lc.flow_ids = flow_id_;
-      ledger_ = std::make_unique<obs::FrameLedger>(lc);
-      obs::TimeSeriesSampler::Config sc;
-      sc.n_flows = n_flows_;
-      sc.window_s = config.lifecycle.sample_window_s;
-      sc.payload_bits = static_cast<double>(config.payload_bytes) * 8.0;
-      sampler_ = std::make_unique<obs::TimeSeriesSampler>(sc);
-      if (config.lifecycle.audit) {
-        obs::InvariantAuditor::Config auc;
-        auc.n_nodes = n_;
-        auc.n_flows = n_flows_;
-        auc.flight_recorder_capacity =
-            config.lifecycle.flight_recorder_capacity;
-        auc.dump_path = config.lifecycle.flight_recorder_path;
-        if (!auc.dump_path.empty() && !fused_ && plan.shards.size() > 1)
-          auc.dump_path += ".shard" + std::to_string(shard);
-        auditor_ = std::make_unique<obs::InvariantAuditor>(auc);
-        // Created up front so every shard registry has the same entries.
-        breaches_counter_ = &registry_->counter("lifecycle.breaches");
-      }
-    }
-    sched_.bind_metrics(*registry_);
-    data_tx_ = &registry_->counter("net.data_tx");
-    data_failures_ = &registry_->counter("net.data_failures");
-    rts_tx_ = &registry_->counter("net.rts_tx");
-    rts_failures_ = &registry_->counter("net.rts_failures");
-    simultaneous_starts_ = &registry_->counter("net.simultaneous_starts");
-    if (plan.border) {
-      // One count per (transmission, influenced tile); emitted at the
-      // same TX-start instants in fused and per-tile runs, so totals
-      // agree across modes and snapshots agree across --jobs.
-      border_msgs_ = &registry_->counter("net.border.msgs");
-    }
-    for (std::size_t f = 0; f < n_flows_; ++f) {
-      const std::vector<obs::Label> label{
-          {"flow", std::to_string(flow_id_[f])}};
-      delivered_.push_back(&registry_->counter("net.delivered", label));
-      attempts_.push_back(&registry_->counter("net.attempts", label));
-      retries_.push_back(&registry_->counter("net.retries", label));
-      drops_.push_back(&registry_->counter("net.drops", label));
-      // Queueing delays: 1 us .. 100 s, 8 bins/decade.
-      delay_hist_.push_back(
-          &registry_->histogram("net.flow_delay_s", 1e-6, 100.0, 64, label));
-    }
-
-    data_rates_ = data_rate_ladder(config);
-    if (config.rate_control == RateControlMode::kArf) {
-      for (std::size_t f = 0; f < n_flows_; ++f) {
-        const std::uint32_t src = flow_src_[f];
-        arf_[src].emplace(data_rates_.size());
-        rate_index_[src] = arf_[src]->current();
-      }
-    }
-
-    // Frame airtimes.
-    const std::size_t data_mpdu =
-        mac::mpdu_size_bytes(mac::FrameType::kData, config.payload_bytes);
-    for (const double rate : data_rates_) {
-      t_data_by_rate_.push_back(
-          mac::data_ppdu_duration_s(config.generation, rate, data_mpdu));
-    }
-    t_ack_ = mac::control_duration_s(config.generation, mac::kAckBytes,
-                                     config.basic_rate_mbps);
-    t_rts_ = mac::control_duration_s(config.generation, mac::kRtsBytes,
-                                     config.basic_rate_mbps);
-    t_cts_ = mac::control_duration_s(config.generation, mac::kCtsBytes,
-                                     config.basic_rate_mbps);
-
-    // PER-model links: each flow draws its realization indices into the
-    // call's shared pool from its own stream (data rates, then RTS, then
-    // CTS/ACK), so every engine layout picks identical realizations.
-    rate_stats_.resize(n_flows_);
-    if (per_model_) {
-      check(pool != nullptr, "the PER model needs the call's fading pool");
-      const std::vector<PerTableKey> keys = per_table_keys(config);
-      const std::size_t n_rates = data_rates_.size();
-      models_.reserve(n_flows_);
-      const std::uint64_t flow_root = par::derive_seed(root, 5, 0);
-      for (std::size_t f = 0; f < n_flows_; ++f) {
-        Rng mrng(par::derive_seed(flow_root, flow_id_[f], 0));
-        FlowErrorModels m;
-        m.data.reserve(n_rates);
-        for (std::size_t r = 0; r < n_rates; ++r)
-          m.data.push_back(pool->link(keys[r], mrng));
-        m.ctrl_fwd = pool->link(keys[n_rates], mrng);
-        m.ctrl_rev = pool->link(keys[n_rates + 1], mrng);
-        models_.push_back(std::move(m));
-      }
-    }
-  }
-
-  /// Global flow index per local flow (ascending).
-  const std::vector<std::size_t>& flow_ids() const { return flow_id_; }
-  /// Global node index per local node (ascending).
-  const std::vector<std::size_t>& node_ids() const { return node_id_; }
-
-  // ---- driver surface (run_plan composes these phases for every plan) ----
-
-  /// Seeds arrivals and initial countdowns without running the clock.
-  void start() {
-    // Poisson arrival processes for non-saturated flows.
-    for (std::size_t f = 0; f < n_flows_; ++f) {
-      if (arrival_rate_[f] > 0.0) {
-        schedule_arrival(flow_src_[f], arrival_rate_[f]);
-      }
-    }
-    for (std::size_t n = 0; n < n_; ++n) {
-      maybe_start_countdown(n);
-    }
-  }
-
-  /// Runs events strictly before `t` (one epoch's private horizon).
-  std::size_t run_before(double t) { return sched_.run_before(t); }
-  /// Runs the final, inclusive round up to `t`.
-  std::size_t run_final(double t) { return sched_.run_until(t); }
-  /// Earliest pending event (+inf when drained); for epoch skipping.
-  double next_time() const { return sched_.next_time(); }
-  /// Border messages generated since the last drain (epoch driver only).
-  std::vector<BorderMsg>& outbox() { return outbox_; }
-  /// Tiles coupled to this one, ascending. Coupling is symmetric, so
-  /// these are both the tiles its messages go to and the only tiles
-  /// whose messages can target it.
-  const std::vector<std::uint32_t>& peer_tiles() const { return peer_tiles_; }
-
-  /// Expands a routed border message into its start/end records. Called
-  /// by the epoch driver at the start of the engine's next round; the
-  /// apply times land at or after that round's epoch boundary by the
-  /// lookahead's power-of-two rounding guarantee, so they are always in
-  /// this engine's future.
-  void inject_border(const BorderMsg& msg) {
-    add_influence(msg.start_s + delay_s_,
-                  InfluenceRec{msg.origin, msg.target_tile, 0, 0.0});
-    add_influence((msg.start_s + msg.duration_s) + delay_s_,
-                  InfluenceRec{msg.origin, msg.target_tile, 1,
-                               msg.nav_until_s});
-  }
-
-  NetworkResult finalize() {
-    // Populate the result struct from the registry.
-    result_.data_tx_count = data_tx_->value();
-    result_.data_failures = data_failures_->value();
-    result_.rts_tx_count = rts_tx_->value();
-    result_.rts_failures = rts_failures_->value();
-    result_.simultaneous_starts = simultaneous_starts_->value();
-    for (std::size_t f = 0; f < n_flows_; ++f) {
-      FlowStats& fs = result_.flows[f];
-      fs.delivered = delivered_[f]->value();
-      fs.attempts = attempts_[f]->value();
-      fs.retries = retries_[f]->value();
-      fs.drops = drops_[f]->value();
-      fs.mean_delay_s = delay_hist_[f]->mean();
-      fs.mean_data_rate_mbps =
-          rate_stats_[f].attempts
-              ? rate_stats_[f].rate_sum_mbps /
-                    static_cast<double>(rate_stats_[f].attempts)
-              : data_rates_.front();
-      fs.throughput_mbps = static_cast<double>(fs.delivered) *
-                           static_cast<double>(config_.payload_bytes) * 8.0 /
-                           config_.duration_s / 1e6;
-      result_.total_delivered += fs.delivered;
-      result_.aggregate_throughput_mbps += fs.throughput_mbps;
-    }
-    if (airtime_) {
-      result_.airtime = airtime_->finalize(config_.duration_s);
-      airtime_->publish(*registry_);
-    }
-    if (ledger_) {
-      result_.lifecycle.ledger = ledger_->finalize(config_.duration_s);
-      ledger_->publish(*registry_);
-      result_.lifecycle.series = sampler_->finalize(config_.duration_s);
-      if (auditor_) {
-        auditor_->audit(result_.lifecycle.ledger);
-        if (airtime_) auditor_->audit(result_.airtime);
-        result_.lifecycle.breaches = auditor_->finalize(config_.duration_s);
-        result_.lifecycle.breach_messages = auditor_->breach_messages();
-        result_.lifecycle.flight_recorder_json =
-            auditor_->flight_recorder_json();
-        breaches_counter_->add(result_.lifecycle.breaches);
-      }
-    }
-    return result_;
-  }
-
- private:
-  /// One pointer test per site when all observers are off (the lifecycle
-  /// sinks only exist when ledger_ does, so three tests cover them all).
-  /// Internal analyzers index their arrays by the event's node/flow ids,
-  /// so they receive LOCAL ids (they are sized for this shard); the
-  /// user's trace sink gets a copy remapped to global ids.
-  void emit(obs::EventType type, std::size_t node, std::size_t peer,
-            std::size_t flow, double value, const char* detail = "",
-            std::size_t frame = kNone) {
-    if (!trace_ && !airtime_ && !ledger_) return;
-    obs::TraceEvent e;
-    e.time_s = sched_.now();
-    e.type = type;
-    e.node = node == kNone ? -1 : static_cast<std::int32_t>(node);
-    e.peer = peer == kNone ? -1 : static_cast<std::int32_t>(peer);
-    e.flow = flow == kNone ? -1 : static_cast<std::int32_t>(flow);
-    e.frame = frame == kNone
-                  ? -1
-                  : static_cast<std::int64_t>(frame_id_base_ + frame);
-    e.value = value;
-    e.detail = detail;
-    if (trace_) {
-      obs::TraceEvent g = e;
-      if (node != kNone) g.node = static_cast<std::int32_t>(node_id_[node]);
-      if (peer != kNone) g.peer = static_cast<std::int32_t>(node_id_[peer]);
-      if (flow != kNone) g.flow = static_cast<std::int32_t>(flow_id_[flow]);
-      trace_->record(g);
-    }
-    if (airtime_) airtime_->record(e);
-    if (ledger_) ledger_->record(e);
-    if (sampler_) sampler_->record(e);
-    if (auditor_) auditor_->record(e);
-  }
-
-  unsigned draw_backoff(std::size_t n) {
-    return static_cast<unsigned>(mac_rng_[n].uniform_int(cw_[n] + 1));
-  }
-
-  /// Data-frame airtime at station `n`'s current rate.
-  double t_data(std::size_t n) const { return t_data_by_rate_[rate_index_[n]]; }
-
-  /// PER model governing a transmission's reception. CTS and ACK
-  /// frames are addressed to the station that sourced the exchange, so
-  /// their flow is recovered from the destination.
-  const LinkPerModel& model_for(const Transmission& t) const {
-    switch (t.kind) {
-      case mac::FrameType::kData:
-        return models_[t.flow].data[t.rate_index];
-      case mac::FrameType::kRts:
-        return models_[t.flow].ctrl_fwd;
-      case mac::FrameType::kCts:
-      case mac::FrameType::kAck:
-        return models_[flow_of_[t.dest]].ctrl_rev;
-      case mac::FrameType::kBeacon:
-        break;
-    }
-    check(false, "no PER model for this frame type");
-    return models_.front().ctrl_rev;
-  }
-
-  // ---- power rows ----
-
-  PowerRow power_row(std::size_t begin, std::size_t end) const {
-    return {row_nbr_.data() + begin, row_gain_.data() + begin, end - begin};
-  }
-
-  /// Local node `n`'s transmissions at its same-shard neighbors.
-  PowerRow local_row(std::size_t n) const {
-    return power_row(row_off_[n], row_off_[n + 1]);
-  }
-
-  /// A remote transmitter's power at the nodes of the tile it lands in.
-  PowerRow inbound_row(const InfluenceRec& rec) const {
-    const auto found = inbound_.find(
-        static_cast<std::uint64_t>(rec.origin) * n_tiles_ + rec.tile);
-    check(found != inbound_.end(), "border influence without inbound edges");
-    return power_row(found->second.first, found->second.second);
-  }
-
-  /// Switches one transmitter's power on or off along `row`: the
-  /// running ambient sums of its receivers (the peak calibrates the
-  /// clamp's rounding slack), and the interference at every ongoing
-  /// reception addressed into the row. Receptions addressed to the
-  /// transmitter itself lie outside its row, so they are skipped.
-  template <bool kOn>
-  void apply_power(const PowerRow& row) {
-    for (std::size_t i = 0; i < row.size; ++i) {
-      const std::uint32_t m = row.rx[i];
-      if constexpr (kOn) {
-        ambient_w_[m] += row.gain_w[i];
-        ambient_peak_w_[m] = std::max(ambient_peak_w_[m], ambient_w_[m]);
-      } else {
-        subtract_clamped(ambient_w_[m], row.gain_w[i], ambient_peak_w_[m],
-                         "ambient power went negative");
-      }
-    }
-    // Insertion-order walk over the ongoing receptions.
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      Transmission& other = slots_[s];
-      if (other.dest == kNone) continue;
-      const double g = row.at(other.dest);
-      if (g <= 0.0) continue;
-      if constexpr (kOn) {
-        other.current_interference_w += g;
-        other.worst_interference_w = std::max(other.worst_interference_w,
-                                              other.current_interference_w);
-      } else {
-        // The sum was seeded from a snapshot of the destination's
-        // ambient sum, so it inherits that sum's rounding residue —
-        // scaled by the ambient's historical peak, which can dwarf this
-        // frame's own interference.
-        subtract_clamped(other.current_interference_w, g,
-                         std::max(other.worst_interference_w,
-                                  ambient_peak_w_[other.dest]),
-                         "reception interference went negative");
-      }
-    }
-  }
-
-  /// Overhearing receivers in `row` at or above their carrier-sense
-  /// threshold set their NAV from a duration field, except the frame's
-  /// addressee. A node outside the row hears the frame below the
-  /// cutoff, hence below every carrier-sense threshold by construction.
-  void overhear_nav(const PowerRow& row, double nav_until_s,
-                    std::size_t addressee, std::size_t peer,
-                    const char* detail) {
-    for (std::size_t i = 0; i < row.size; ++i) {
-      const std::uint32_t m = row.rx[i];
-      if (m == addressee || row.gain_w[i] < cs_w_[m] ||
-          nav_until_s <= nav_until_[m])
-        continue;
-      nav_until_[m] = nav_until_s;
-      emit(obs::EventType::kNavSet, m, peer, kNone, nav_until_s, detail);
-      arm_nav_wakeup(m);
-    }
-  }
-
-  bool medium_busy(std::size_t n) const {
-    if (transmitting_[n]) return true;
-    if (sched_.now() < nav_until_[n]) return true;
-    return ambient_w_[n] >= cs_w_[n];
-  }
-
-  // ---- contention ----
-
-  // Freezes a counting station. Returns true when the station's counter
-  // had already reached zero at this exact instant — i.e. it transmits
-  // simultaneously with whatever made the medium busy (a real collision),
-  // because it cannot sense a transmission that starts in the same slot.
-  [[nodiscard]] bool freeze(std::size_t n) {
-    if (!counting_[n]) return false;
-    const double elapsed = sched_.now() - count_start_s_[n] - timing_.difs_s();
-    if (elapsed > 0.0) {
-      const auto used =
-          static_cast<unsigned>(std::floor(elapsed / timing_.slot_s + 1e-9));
-      slots_remaining_[n] -= std::min(used, slots_remaining_[n]);
-    }
-    counting_[n] = 0;
-    ++timer_version_[n];
-    emit(obs::EventType::kBackoffFreeze, n, kNone, flow_of_[n],
-         static_cast<double>(slots_remaining_[n]));
-    return slots_remaining_[n] == 0 && elapsed >= -1e-12;
-  }
-
-  bool has_traffic(std::size_t n) const {
-    return flow_of_[n] != kNone && (saturated_[n] || !queue_[n].empty());
-  }
-
-  void schedule_arrival(std::size_t n, double rate_pps) {
-    sched_.schedule(arrival_rng_[flow_of_[n]].exponential(1.0 / rate_pps),
-                    [this, n, rate_pps] {
-      queue_[n].push_back(sched_.now());
-      emit(obs::EventType::kArrival, n, kNone, flow_of_[n],
-           static_cast<double>(queue_[n].size()));
-      maybe_start_countdown(n);
-      schedule_arrival(n, rate_pps);
-    });
-  }
-
-  void maybe_start_countdown(std::size_t n) {
-    if (!has_traffic(n) || counting_[n] || transmitting_[n] ||
-        waiting_[n] != WaitKind::kNone) {
-      return;
-    }
-    if (medium_busy(n)) return;
-    counting_[n] = 1;
-    count_start_s_[n] = sched_.now();
-    emit(obs::EventType::kBackoffStart, n, kNone, flow_of_[n],
-         static_cast<double>(slots_remaining_[n]));
-    const std::uint64_t version = ++timer_version_[n];
-    const double delay =
-        timing_.difs_s() +
-        static_cast<double>(slots_remaining_[n]) * timing_.slot_s;
-    sched_.schedule(delay, [this, n, version] {
-      if (!counting_[n] || timer_version_[n] != version) return;
-      counting_[n] = 0;
-      slots_remaining_[n] = 0;
-      begin_exchange(n);
-    });
-    // If the NAV is what ends later, it was already accounted: medium_busy
-    // checked NAV; NAV can only start via frame ends which re-evaluate.
-  }
-
-  /// Opens the fire list of one medium re-evaluation pass. Passes nest:
-  /// a fired station's transmission re-evaluates its own neighborhood
-  /// before the outer pass fires its next station.
-  std::size_t open_fire_list() {
-    const std::size_t depth = fire_depth_++;
-    if (fire_pool_.size() <= depth) fire_pool_.emplace_back();
-    fire_pool_[depth].clear();
-    return depth;
-  }
-
-  /// Closes a pass: stations whose counters expired in the very slot the
-  /// medium went busy transmit anyway — the collision DCF is built
-  /// around.
-  void fire(std::size_t depth) {
-    simultaneous_starts_->add(fire_pool_[depth].size());
-    for (const std::uint32_t n : fire_pool_[depth]) {
-      emit(obs::EventType::kCollision, n, kNone, flow_of_[n], 0.0);
-      begin_exchange(n);
-    }
-    --fire_depth_;
-  }
-
-  /// Re-evaluates the medium at `center` and its neighbors, ascending —
-  /// the only stations whose carrier-sense inputs an event at `center`
-  /// can have changed. On the unbounded plan this is every station.
-  void update_medium_set(std::size_t center) {
-    const std::size_t depth = open_fire_list();
-    const PowerRow row = local_row(center);
-    bool center_done = false;
-    for (std::size_t i = 0; i < row.size; ++i) {
-      const std::size_t m = row.rx[i];
-      if (!center_done && center < m) {
-        visit_medium(center, depth);
-        center_done = true;
-      }
-      visit_medium(m, depth);
-    }
-    if (!center_done) visit_medium(center, depth);
-    fire(depth);
-  }
-
-  /// Single-node re-evaluation for NAV expiry: only `n`'s own medium
-  /// view changed, so no neighbor walk is needed.
-  void update_medium_node(std::size_t n) {
-    const std::size_t depth = open_fire_list();
-    visit_medium(n, depth);
-    fire(depth);
-  }
-
-  void visit_medium(std::size_t n, std::size_t depth) {
-    const bool busy = medium_busy(n);
-    if (busy && !busy_prev_[n]) {
-      if (freeze(n)) fire_pool_[depth].push_back(static_cast<std::uint32_t>(n));
-    } else if (!busy) {
-      // Idle (or just became idle): an eligible station may (re)start.
-      maybe_start_countdown(n);
-    }
-    busy_prev_[n] = busy;
-  }
-
-  /// One pending NAV wakeup per node, however many NAV_SETs pile up: a
-  /// later extension just lets the armed wakeup fire early and re-arm
-  /// at the new expiry, instead of scheduling one event per NAV_SET
-  /// (which grew the queue quadratically under dense overhearing).
-  void arm_nav_wakeup(std::size_t n) {
-    if (nav_armed_[n]) return;
-    nav_armed_[n] = 1;
-    sched_.schedule_at(nav_until_[n], [this, n] {
-      nav_armed_[n] = 0;
-      if (sched_.now() < nav_until_[n]) {
-        arm_nav_wakeup(n);  // NAV was extended meanwhile
-        return;
-      }
-      update_medium_node(n);
-    });
-  }
-
-  // ---- border influence (cross-tile edges only) ----
-
-  /// Queues one BorderMsg per tile this transmission couples into.
-  /// Fused: the engine injects it into itself at once. Per-tile: it goes
-  /// to the outbox for the epoch driver to route. Either way
-  /// inject_border expands it into the same two records with the same
-  /// floating-point apply times.
-  void queue_influence(std::size_t n, double duration_s, double nav_until_s) {
-    const std::size_t b = out_off_[n];
-    const std::size_t e = out_off_[n + 1];
-    if (b == e) return;
-    const auto g = static_cast<std::uint32_t>(node_id_[n]);
-    for (std::size_t i = b; i < e; ++i) {
-      border_msgs_->add();
-      const BorderMsg msg{g, out_tile_[i], sched_.now(), duration_s,
-                          nav_until_s};
-      if (fused_) {
-        inject_border(msg);
-      } else {
-        outbox_.push_back(msg);
-      }
-    }
-  }
-
-  void add_influence(double w, const InfluenceRec& rec) {
-    auto [it, inserted] = influence_.try_emplace(w);
-    it->second.push_back(rec);
-    // One urgent apply event per distinct time: influence lands before
-    // any normal event at the same instant, in every execution mode.
-    if (inserted) {
-      sched_.schedule_at_urgent(w, [this, w] { apply_influence(w); });
-    }
-  }
-
-  /// Applies every influence record stamped `w` in the canonical
-  /// (origin, kind, tile) order — a strict total order, since a node's
-  /// transmissions never share a start or an end instant — so ambient
-  /// and interference sums see the identical operation sequence in the
-  /// fused and per-tile runs. Affected nodes then re-evaluate their
-  /// medium ascending in one pass.
-  void apply_influence(double w) {
-    const auto found = influence_.find(w);
-    check(found != influence_.end(), "influence records lost");
-    std::vector<InfluenceRec> recs = std::move(found->second);
-    influence_.erase(found);
-    std::sort(recs.begin(), recs.end(),
-              [](const InfluenceRec& a, const InfluenceRec& b) {
-                if (a.origin != b.origin) return a.origin < b.origin;
-                if (a.kind != b.kind) return a.kind < b.kind;
-                return a.tile < b.tile;
-              });
-    affected_.clear();
-    for (const InfluenceRec& rec : recs) {
-      const PowerRow row = inbound_row(rec);
-      if (rec.kind == 0) {
-        apply_power<true>(row);
-      } else {
-        apply_power<false>(row);
-        // Remote NAV from the transmission's duration field, applied at
-        // the end record like the local overhear path. Already-expired
-        // promises are skipped (deterministically — the record carries
-        // the same values in both modes).
-        if (rec.nav_until_s > w)
-          overhear_nav(row, rec.nav_until_s, kNone, kNone, "REMOTE");
-      }
-      affected_.insert(affected_.end(), row.rx, row.rx + row.size);
-    }
-    std::sort(affected_.begin(), affected_.end());
-    affected_.erase(std::unique(affected_.begin(), affected_.end()),
-                    affected_.end());
-    const std::size_t depth = open_fire_list();
-    for (const std::uint32_t m : affected_) visit_medium(m, depth);
-    fire(depth);
-  }
-
-  // ---- transmissions ----
-
-  void start_transmission(std::size_t n, std::size_t dest,
-                          mac::FrameType kind, std::size_t flow,
-                          double duration_s, double nav_until_s) {
-    transmitting_[n] = 1;
-    Transmission t;
-    t.id = next_id_++;
-    t.tx_node = n;
-    t.dest = dest;
-    t.kind = kind;
-    t.flow = flow;
-    if (kind == mac::FrameType::kData) t.rate_index = rate_index_[n];
-    t.start_s = sched_.now();
-    t.end_s = sched_.now() + duration_s;
-    t.nav_until_s = nav_until_s;
-    if (dest != kNone) {
-      // This frame's power is not yet in the ambient sums, so the
-      // ambient at the destination is exactly the interference it will
-      // see.
-      t.current_interference_w = ambient_w_[dest];
-      // A destination that is itself transmitting cannot receive.
-      if (transmitting_[dest]) t.rx_was_transmitting = true;
-      t.worst_interference_w = t.current_interference_w;
-    }
-    // This transmission interferes with every other ongoing reception
-    // (it is not in the list yet), and any reception addressed to us is
-    // now lost.
-    apply_power<true>(local_row(n));
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-      if (slots_[s].dest == n) slots_[s].rx_was_transmitting = true;
-    }
-    emit(obs::EventType::kTxStart, n, dest, flow, duration_s,
-         frame_name(kind), t.id);
-    queue_influence(n, duration_s, nav_until_s);
-    const std::size_t id = t.id;
-    const std::uint32_t slot = push_active(t);
-    update_medium_set(n);
-    sched_.schedule(duration_s, [this, slot, id] {
-      end_transmission(slot, id);
-    });
-  }
-
-  void end_transmission(std::uint32_t slot, std::size_t id) {
-    check(slot < slots_.size() && slots_[slot].in_use &&
-              slots_[slot].id == id,
-          "transmission bookkeeping lost");
-    const Transmission t = slots_[slot];
-    unlink(slot);
-    transmitting_[t.tx_node] = 0;
-    // Remove this signal from the neighbors' ambient sums and from
-    // other ongoing receptions' interference.
-    const PowerRow row = local_row(t.tx_node);
-    apply_power<false>(row);
-
-    emit(obs::EventType::kTxEnd, t.tx_node, t.dest, t.flow,
-         t.end_s - t.start_s, frame_name(t.kind), t.id);
-
-    // Reception outcome at the addressed node.
-    bool delivered = false;
-    double sinr_db = -std::numeric_limits<double>::infinity();
-    if (t.dest != kNone && !t.rx_was_transmitting &&
-        !transmitting_[t.dest]) {
-      const double signal = row.at(t.dest);
-      const double sinr =
-          signal / (noise_w_[t.dest] + t.worst_interference_w);
-      sinr_db = lin_to_db(sinr);
-      if (per_model_) {
-        // Preamble acquisition first: the PER curves model payload
-        // decoding and scale with payload length, so on their own a
-        // short control frame would ride out an equal-power collision.
-        // Below the capture SINR the receiver never syncs and no RNG is
-        // consumed.
-        if (sinr_db < config_.error_model.preamble_capture_db) {
-          delivered = false;
-        } else {
-          // Block fading per frame: pick one of the link's realizations,
-          // look up its PER at the worst-case SINR (the table is already
-          // scaled to this frame type's PSDU size), survive a Bernoulli
-          // draw.
-          const LinkPerModel& model = model_for(t);
-          Rng& rx_rng = rx_rng_[t.dest];
-          const auto realization = static_cast<std::size_t>(
-              rx_rng.uniform_int(model.realizations()));
-          delivered = !rx_rng.bernoulli(model.per(sinr_db, realization));
-        }
-      } else {
-        const double required = t.kind == mac::FrameType::kData
-                                    ? db_to_lin(config_.sinr_threshold_db)
-                                    : db_to_lin(config_.control_sinr_db);
-        delivered = sinr >= required;
-      }
-    }
-    if (t.dest != kNone) {
-      emit(delivered ? obs::EventType::kRxOk : obs::EventType::kRxFail,
-           t.dest, t.tx_node, t.flow, sinr_db, frame_name(t.kind), t.id);
-    }
-
-    overhear_nav(row, t.nav_until_s, t.dest, t.tx_node, frame_name(t.kind));
-
-    handle_frame_outcome(t, delivered);
-    update_medium_set(t.tx_node);
-  }
-
-  std::uint32_t push_active(const Transmission& t) {
-    std::uint32_t s;
-    if (!free_.empty()) {
-      s = free_.back();
-      free_.pop_back();
-      slots_[s] = t;
-    } else {
-      s = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(t);
-    }
-    Transmission& slot = slots_[s];
-    slot.in_use = true;
-    slot.prev = tail_;
-    slot.next = kNil;
-    if (tail_ != kNil) {
-      slots_[tail_].next = s;
-    } else {
-      head_ = s;
-    }
-    tail_ = s;
-    return s;
-  }
-
-  void unlink(std::uint32_t s) {
-    Transmission& t = slots_[s];
-    if (t.prev != kNil) {
-      slots_[t.prev].next = t.next;
-    } else {
-      head_ = t.next;
-    }
-    if (t.next != kNil) {
-      slots_[t.next].prev = t.prev;
-    } else {
-      tail_ = t.prev;
-    }
-    t.in_use = false;
-    free_.push_back(s);
-  }
-
-  // ---- protocol ----
-
-  void begin_exchange(std::size_t n) {
-    const std::size_t flow = flow_of_[n];
-    check(flow != kNone, "contention won by a node without traffic");
-    attempts_[flow]->add();
-    const double td = t_data(n);
-    if (config_.rts_cts) {
-      const double nav = sched_.now() + t_rts_ + 3.0 * timing_.sifs_s +
-                         t_cts_ + td + t_ack_;
-      rts_tx_->add();
-      start_transmission(n, dest_of_[n], mac::FrameType::kRts, flow, t_rts_,
-                         nav);
-      arm_timeout(n, WaitKind::kCts,
-                  t_rts_ + timing_.sifs_s + t_cts_ + timing_.slot_s);
-    } else {
-      send_data(n, sched_.now() + td + timing_.sifs_s + t_ack_);
-    }
-  }
-
-  /// Sends station `n`'s data frame at its current rate, with the
-  /// exchange's NAV promise, and arms the ACK timeout.
-  void send_data(std::size_t n, double nav_until_s) {
-    const std::size_t flow = flow_of_[n];
-    const double td = t_data(n);
-    data_tx_->add();
-    rate_stats_[flow].rate_sum_mbps += data_rates_[rate_index_[n]];
-    ++rate_stats_[flow].attempts;
-    start_transmission(n, dest_of_[n], mac::FrameType::kData, flow, td,
-                       nav_until_s);
-    arm_timeout(n, WaitKind::kAck,
-                td + timing_.sifs_s + t_ack_ + timing_.slot_s);
-  }
-
-  void arm_timeout(std::size_t n, WaitKind kind, double delay_s) {
-    waiting_[n] = kind;
-    const std::uint64_t version = ++wait_version_[n];
-    sched_.schedule(delay_s, [this, n, version, kind] {
-      if (wait_version_[n] != version || waiting_[n] == WaitKind::kNone)
-        return;
-      waiting_[n] = WaitKind::kNone;
-      on_exchange_failed(n, kind);
-    });
-  }
-
-  void on_exchange_failed(std::size_t n, WaitKind kind) {
-    if (kind == WaitKind::kAck) {
-      data_failures_->add();
-      // Only a lost data frame is a rate-control signal; a missed CTS
-      // says nothing about the data rate.
-      if (arf_[n]) {
-        arf_[n]->on_failure();
-        rate_index_[n] = arf_[n]->current();
-      }
-    } else {
-      rts_failures_->add();
-    }
-    const std::size_t flow = flow_of_[n];
-    ++retries_count_[n];
-    retries_[flow]->add();
-    if (retries_count_[n] > config_.retry_limit) {
-      drops_[flow]->add();
-      emit(obs::EventType::kDrop, n, dest_of_[n], flow,
-           static_cast<double>(retries_count_[n]));
-      retries_count_[n] = 0;
-      cw_[n] = timing_.cw_min;
-      if (!saturated_[n] && !queue_[n].empty()) queue_[n].pop_front();
-    } else {
-      cw_[n] = std::min(2 * cw_[n] + 1, timing_.cw_max);
-    }
-    slots_remaining_[n] = draw_backoff(n);
-    maybe_start_countdown(n);
-  }
-
-  void on_exchange_succeeded(std::size_t n) {
-    if (arf_[n]) {
-      arf_[n]->on_success();
-      rate_index_[n] = arf_[n]->current();
-    }
-    const std::size_t flow = flow_of_[n];
-    delivered_[flow]->add();
-    emit(obs::EventType::kStateChange, n, dest_of_[n], flow, 0.0,
-         "DELIVERED");
-    if (!saturated_[n] && !queue_[n].empty()) {
-      delay_hist_[flow]->record(sched_.now() - queue_[n].front());
-      queue_[n].pop_front();
-    }
-    retries_count_[n] = 0;
-    cw_[n] = timing_.cw_min;
-    slots_remaining_[n] = draw_backoff(n);  // next packet, if any
-    maybe_start_countdown(n);
-  }
-
-  void handle_frame_outcome(const Transmission& t, bool delivered) {
-    switch (t.kind) {
-      case mac::FrameType::kRts: {
-        if (!delivered) return;  // source's CTS timeout handles it
-        // Destination answers CTS after SIFS.
-        const std::size_t rx = t.dest;
-        const std::size_t src = t.tx_node;
-        const double nav = t.nav_until_s;
-        sched_.schedule(timing_.sifs_s, [this, rx, src, nav] {
-          start_transmission(rx, src, mac::FrameType::kCts, kNone, t_cts_,
-                            nav);
-        });
-        break;
-      }
-      case mac::FrameType::kCts: {
-        // The CTS is addressed to the data source; on reception it sends
-        // the data frame after SIFS.
-        const std::size_t src = t.dest;
-        if (!delivered || waiting_[src] != WaitKind::kCts) return;
-        waiting_[src] = WaitKind::kNone;
-        ++wait_version_[src];
-        const double nav = t.nav_until_s;
-        sched_.schedule(timing_.sifs_s,
-                        [this, src, nav] { send_data(src, nav); });
-        break;
-      }
-      case mac::FrameType::kData: {
-        if (!delivered) return;  // ACK timeout at the source handles it
-        const std::size_t rx = t.dest;
-        const std::size_t src = t.tx_node;
-        sched_.schedule(timing_.sifs_s, [this, rx, src] {
-          start_transmission(rx, src, mac::FrameType::kAck, kNone, t_ack_,
-                             sched_.now() + t_ack_);
-        });
-        break;
-      }
-      case mac::FrameType::kAck: {
-        const std::size_t src = t.dest;
-        if (!delivered || waiting_[src] != WaitKind::kAck) return;
-        waiting_[src] = WaitKind::kNone;
-        ++wait_version_[src];
-        on_exchange_succeeded(src);
-        break;
-      }
-      case mac::FrameType::kBeacon:
-        break;
-    }
-  }
-
-  NetworkConfig config_;
-  std::uint64_t frame_id_base_ = 0;
-  mac::MacTiming timing_{};
-  sim::Scheduler sched_;
-  std::size_t n_ = 0;        // shard size
-  std::size_t n_flows_ = 0;  // flows sourced inside the shard
-  std::vector<std::size_t> node_id_;  // local -> global node
-  std::vector<std::size_t> flow_id_;  // local -> global flow
-  std::vector<std::uint32_t> flow_src_;  // local flow -> local source
-  std::vector<double> arrival_rate_;     // per local flow
-  // Power rows: received power (W) per edge. The local CSR rows
-  // (row_off_, one per node) come first, the inbound rows after them.
-  std::vector<std::size_t> row_off_;
-  std::vector<std::uint32_t> row_nbr_;
-  std::vector<double> row_gain_;
-  std::vector<double> noise_w_;
-  std::vector<double> cs_w_;
-  // Station state, structure-of-arrays.
-  std::vector<std::size_t> flow_of_;
-  std::vector<std::size_t> dest_of_;
-  std::vector<std::uint8_t> saturated_;
-  std::vector<std::deque<double>> queue_;
-  std::vector<unsigned> cw_;
-  std::vector<unsigned> retries_count_;
-  std::vector<unsigned> slots_remaining_;
-  std::vector<std::uint8_t> counting_;
-  std::vector<double> count_start_s_;
-  std::vector<std::uint64_t> timer_version_;
-  std::vector<std::uint8_t> busy_prev_;
-  std::vector<double> nav_until_;
-  std::vector<std::uint8_t> nav_armed_;
-  std::vector<double> ambient_w_;  // running sum of neighbor tx power
-  std::vector<double> ambient_peak_w_;  // run max; clamp-slack scale
-  std::vector<std::uint8_t> transmitting_;
-  std::vector<WaitKind> waiting_;
-  std::vector<std::uint64_t> wait_version_;
-  std::vector<std::size_t> rate_index_;
-  std::vector<std::optional<mac::ArfController>> arf_;
-  // Active transmissions: slot arena + insertion-order intrusive list.
-  std::vector<Transmission> slots_;
-  std::vector<std::uint32_t> free_;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::size_t next_id_ = 0;
-  // Per-recursion-depth scratch for update_medium_set's fire list.
-  std::vector<std::vector<std::uint32_t>> fire_pool_;
-  std::size_t fire_depth_ = 0;
-  // Observability: counters/histograms live in `*registry_`; trace may
-  // be null.
-  obs::Registry local_registry_;
-  obs::Registry* registry_ = nullptr;
-  obs::TraceSink* trace_ = nullptr;
-  std::unique_ptr<obs::AirtimeAccountant> airtime_;
-  std::unique_ptr<obs::FrameLedger> ledger_;
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;
-  std::unique_ptr<obs::InvariantAuditor> auditor_;
-  obs::Counter* breaches_counter_ = nullptr;
-  obs::Counter* data_tx_ = nullptr;
-  obs::Counter* data_failures_ = nullptr;
-  obs::Counter* rts_tx_ = nullptr;
-  obs::Counter* rts_failures_ = nullptr;
-  obs::Counter* simultaneous_starts_ = nullptr;
-  std::vector<obs::Counter*> delivered_;
-  std::vector<obs::Counter*> attempts_;
-  std::vector<obs::Counter*> retries_;
-  std::vector<obs::Counter*> drops_;
-  std::vector<obs::Histogram*> delay_hist_;
-  std::vector<double> data_rates_;      // ladder (1 entry when fixed)
-  std::vector<double> t_data_by_rate_;  // airtime per ladder entry
-  double t_ack_ = 0.0;
-  double t_rts_ = 0.0;
-  double t_cts_ = 0.0;
-  // PER reception model (per_model_ only).
-  bool per_model_ = false;
-  struct FlowErrorModels {
-    std::vector<LinkPerModel> data;  // source -> destination, per rate
-    LinkPerModel ctrl_fwd;           // RTS, source -> destination
-    LinkPerModel ctrl_rev;           // CTS/ACK, destination -> source
-  };
-  std::vector<FlowErrorModels> models_;
-  struct RateStats {
-    double rate_sum_mbps = 0.0;
-    std::uint64_t attempts = 0;
-  };
-  std::vector<RateStats> rate_stats_;
-  NetworkResult result_;
-  // ---- border exchange (empty without cross-tile edges) ----
-  bool fused_ = false;   // one engine simulates every tile (reference)
-  double delay_s_ = 0.0;  // cross-tile influence delay = plan lookahead
-  std::size_t n_tiles_ = 0;
-  /// (origin global id * n_tiles + target tile) -> [begin, end) of its
-  /// inbound power row in row_nbr_/row_gain_.
-  std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
-      inbound_;
-  /// Per local node: the tiles its transmissions influence (CSR).
-  std::vector<std::size_t> out_off_;
-  std::vector<std::uint32_t> out_tile_;
-  std::vector<std::uint32_t> peer_tiles_;  // distinct out_tile_, ascending
-  /// Pending influence by apply time; one urgent event armed per key.
-  std::map<double, std::vector<InfluenceRec>> influence_;
-  std::vector<BorderMsg> outbox_;
-  std::vector<std::uint32_t> affected_;  // apply-time scratch
-  // Per-entity RNG streams (see the constructor).
-  std::vector<Rng> mac_rng_;
-  std::vector<Rng> rx_rng_;
-  std::vector<Rng> arrival_rng_;
-  obs::Counter* border_msgs_ = nullptr;
-};
+using detail::BorderMsg;
+using detail::Engine;
+using detail::kNone;
+using detail::per_table_keys;
+using detail::ShardOutput;
 
 void validate_network(const std::vector<NodeConfig>& nodes,
                       const std::vector<Flow>& flows) {
@@ -1311,136 +33,6 @@ void validate_network(const std::vector<NodeConfig>& nodes,
     check(f.source < nodes.size() && f.destination < nodes.size(),
           "flow endpoints out of range");
   }
-}
-
-/// Folds one shard's airtime ledger into the global report. Channel
-/// seconds sum — the merged report describes `n_shards` independent
-/// channels, so duration_s grows with each shard and the
-/// idle+busy+collision partition still closes against it. Node and flow
-/// entries land in their global slots.
-void merge_airtime(obs::AirtimeReport& into, const obs::AirtimeReport& part,
-                   const std::vector<std::size_t>& node_ids,
-                   const std::vector<std::size_t>& flow_ids,
-                   std::size_t n_nodes, std::size_t n_flows) {
-  if (into.nodes.empty() && into.flows.empty()) {
-    into.nodes.resize(n_nodes);
-    into.flows.resize(n_flows);
-    into.window_s = part.window_s;
-  }
-  into.duration_s += part.duration_s;
-  into.idle_s += part.idle_s;
-  into.busy_s += part.busy_s;
-  into.collision_s += part.collision_s;
-  for (std::size_t n = 0; n < part.nodes.size(); ++n)
-    into.nodes[node_ids[n]] = part.nodes[n];
-  for (std::size_t f = 0; f < part.flows.size(); ++f)
-    into.flows[flow_ids[f]] = part.flows[f];
-}
-
-/// Folds one shard's lifecycle books into the global result: ledger
-/// flows land in their global slots and totals sum; series windows sum
-/// (collision_rate accumulates here and is averaged by the caller);
-/// breach messages are prefixed with their shard.
-void merge_lifecycle(NetworkResult::LifecycleResult& into,
-                     const NetworkResult::LifecycleResult& part,
-                     const std::vector<std::size_t>& flow_ids,
-                     std::size_t n_flows, std::size_t shard) {
-  obs::LifecycleReport& ledger = into.ledger;
-  if (ledger.flows.empty()) ledger.flows.resize(n_flows);
-  ledger.duration_s = std::max(ledger.duration_s, part.ledger.duration_s);
-  for (std::size_t f = 0; f < part.ledger.flows.size(); ++f)
-    ledger.flows[flow_ids[f]] = part.ledger.flows[f];
-  ledger.total.accumulate(part.ledger.total);
-  ledger.delivered += part.ledger.delivered;
-  ledger.dropped += part.ledger.dropped;
-  ledger.in_flight += part.ledger.in_flight;
-
-  obs::LifecycleSeries& series = into.series;
-  if (series.window_s == 0.0) series.window_s = part.series.window_s;
-  const std::size_t n = part.series.t_s.size();
-  if (series.t_s.size() < n) {
-    series.t_s = part.series.t_s;
-    series.goodput_mbps.resize(n, 0.0);
-    series.collision_rate.resize(n, 0.0);
-    series.in_flight.resize(n, 0.0);
-  }
-  for (std::size_t w = 0; w < n; ++w) {
-    series.goodput_mbps[w] += part.series.goodput_mbps[w];
-    series.collision_rate[w] += part.series.collision_rate[w];
-    series.in_flight[w] += part.series.in_flight[w];
-  }
-  series.warmup_windows =
-      std::max(series.warmup_windows, part.series.warmup_windows);
-
-  into.breaches += part.breaches;
-  for (const std::string& m : part.breach_messages)
-    into.breach_messages.push_back("shard " + std::to_string(shard) + ": " +
-                                   m);
-  if (into.flight_recorder_json.empty())
-    into.flight_recorder_json = part.flight_recorder_json;
-}
-
-/// One shard engine's complete output, ready for shard-order assembly.
-struct ShardOutput {
-  NetworkResult result;
-  std::unique_ptr<obs::Registry> registry;
-  std::vector<std::size_t> node_ids;
-  std::vector<std::size_t> flow_ids;
-};
-
-/// Shard-order assembly of a multi-engine run: scalar sums, global
-/// slot placement for per-flow stats, registry merge (merge order — not
-/// thread schedule — defines gauges and instrument creation order).
-NetworkResult merge_shard_outputs(const NetworkConfig& config,
-                                  std::size_t n_nodes, std::size_t n_flows,
-                                  const std::vector<ShardOutput>& outputs) {
-  const std::size_t n_shards = outputs.size();
-  NetworkResult total;
-  total.flows.resize(n_flows);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    const ShardOutput& out = outputs[s];
-    const NetworkResult& r = out.result;
-    for (std::size_t i = 0; i < out.flow_ids.size(); ++i)
-      total.flows[out.flow_ids[i]] = r.flows[i];
-    total.total_delivered += r.total_delivered;
-    total.data_tx_count += r.data_tx_count;
-    total.data_failures += r.data_failures;
-    total.rts_tx_count += r.rts_tx_count;
-    total.rts_failures += r.rts_failures;
-    total.simultaneous_starts += r.simultaneous_starts;
-    if (config.airtime) {
-      merge_airtime(total.airtime, r.airtime, out.node_ids, out.flow_ids,
-                    n_nodes, n_flows);
-    }
-    if (config.lifecycle.enabled) {
-      merge_lifecycle(total.lifecycle, r.lifecycle, out.flow_ids, n_flows, s);
-    }
-    if (config.registry) config.registry->merge(*out.registry);
-  }
-  // Summed in global flow order — the exact FP order a fused engine
-  // over the same nodes uses, so border mode matches its reference
-  // bitwise (per-shard partial sums would differ in the low bits).
-  for (const FlowStats& fs : total.flows)
-    total.aggregate_throughput_mbps += fs.throughput_mbps;
-  if (config.lifecycle.enabled) {
-    // collision_rate accumulated per-shard rates; report the mean. The
-    // stationarity hint is recomputed over the merged goodput series.
-    obs::LifecycleSeries& series = total.lifecycle.series;
-    for (double& c : series.collision_rate)
-      c /= static_cast<double>(n_shards);
-    const std::size_t n = series.goodput_mbps.size();
-    if (n >= 2) {
-      const std::size_t half = n / 2;
-      double first = 0.0;
-      double second = 0.0;
-      for (std::size_t w = 0; w < half; ++w) first += series.goodput_mbps[w];
-      for (std::size_t w = half; w < n; ++w) second += series.goodput_mbps[w];
-      first /= static_cast<double>(half);
-      second /= static_cast<double>(n - half);
-      series.stationarity_ratio = first > 0.0 ? second / first : 1.0;
-    }
-  }
-  return total;
 }
 
 /// The one driver every plan runs through: engines set up on the pool,
