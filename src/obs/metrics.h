@@ -16,7 +16,7 @@
 // hot path must stay a bare increment. Parallel code gives each thread
 // (or work chunk) a private shard Registry and folds the shards into
 // the parent with `merge` once the parallel region has retired
-// (net/netsim.cpp does this for batch runs and shards).
+// (net/merge.cpp does this for shards, net/netsim.cpp for batch runs).
 #pragma once
 
 #include <cstdint>

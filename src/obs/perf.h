@@ -216,10 +216,13 @@ SpanCollector& shard_collector();
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
-    detail::PerfTls& t = detail::tls();
-    if (t.collector == nullptr) return;  // disabled: one load + branch
-    node_ = t.collector->enter(t.current, name);
-    t.current = node_;
+    // Reads g_tls by name, not through a reference: UBSan null-checks a
+    // reference's address, and GCC 12 can test that TLS address with
+    // flags the linker's TLS relaxation then discards.
+    using detail::g_tls;
+    if (g_tls.collector == nullptr) return;  // disabled: one load + branch
+    node_ = g_tls.collector->enter(g_tls.current, name);
+    g_tls.current = node_;
     alloc_ = detail::alloc_fn();
     if (alloc_) start_allocs_ = alloc_();
     start_ns_ = detail::now_ns();
