@@ -1,8 +1,5 @@
-// Shard-order merge of a multi-engine netsim run: per-flow results land
-// in their global slots, scalar counters sum, and the airtime and
-// lifecycle books and the shard registries fold into the caller's in
-// shard order — never thread order — so the merged result is the same
-// at any jobs count.
+// Merges the outputs of a multi-engine netsim run (internal to the net
+// library).
 #pragma once
 
 #include <cstddef>
