@@ -108,6 +108,14 @@ Engine::Engine(const NetworkConfig& config,
   };
   row_off_.assign(n_ + 1, 0);
   out_off_.assign(n_ + 1, 0);
+  // Each plan edge of a member lands in exactly one power row, local or
+  // inbound; reserving them all keeps the appended inbound rows from
+  // doubling the arrays (border cities hold every tile's rows at once).
+  std::size_t edges = 0;
+  for (const std::size_t g : node_id_)
+    edges += plan.row_offset[g + 1] - plan.row_offset[g];
+  row_nbr_.reserve(edges);
+  row_gain_.reserve(edges);
   std::unordered_map<std::uint64_t,
                      std::vector<std::pair<std::uint32_t, double>>>
       inbound_rows;
