@@ -1,7 +1,6 @@
 #include "net/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <string>
 #include <unordered_map>

@@ -1,5 +1,6 @@
 #include "net/netsim.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
