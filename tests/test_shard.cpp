@@ -1,10 +1,12 @@
 // The spatially sharded network engine: planner geometry, shard-vs-
 // monolith bitwise equivalence, thread-count-independent merges, and
 // the event-bookkeeping fixes that scaling flushed out.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include "common/units.h"
 #include "core/abstraction.h"
 #include "core/link.h"
+#include "mac/timing.h"
+#include "mesh/mesh.h"
 #include "net/errormodel.h"
 #include "net/netsim.h"
 #include "net/shard.h"
@@ -138,6 +142,267 @@ TEST(ShardPlan, WiderMarginCouplesMorePairs) {
   EXPECT_GE(pw.n_edges(), pn.n_edges());
   EXPECT_GT(pw.cutoff_radius_m, pn.cutoff_radius_m);
   EXPECT_LT(pw.cutoff_rx_dbm, pn.cutoff_rx_dbm);
+}
+
+// --- Plan vs an all-pairs reference ----------------------------------
+
+/// One seeded planner input.
+struct PlanCase {
+  net::NetworkConfig config;
+  std::vector<net::NodeConfig> nodes;
+  std::vector<net::Flow> flows;
+  bool with_flows = false;
+  net::ShardOptions options;
+};
+
+/// The header's cutoff rule, restated: the weakest level any node cares
+/// about, less the margin, and the distance at which the strongest
+/// transmitter decays to it.
+struct Cutoff {
+  double rx_dbm = -kInf;
+  double radius_m = kInf;
+};
+
+Cutoff reference_cutoff(const PlanCase& c) {
+  Cutoff out;
+  if (!std::isfinite(c.options.cutoff_margin_db)) return out;
+  double floor_dbm = kInf;
+  double max_tx_dbm = -kInf;
+  for (const net::NodeConfig& node : c.nodes) {
+    floor_dbm = std::min(
+        floor_dbm,
+        std::min(node.cs_threshold_dbm,
+                 thermal_noise_dbm(c.config.bandwidth_hz,
+                                   node.noise_figure_db)));
+    max_tx_dbm = std::max(max_tx_dbm, node.tx_power_dbm);
+  }
+  out.rx_dbm = floor_dbm - c.options.cutoff_margin_db;
+  out.radius_m = std::max(
+      c.config.pathloss.distance_for_path_loss(max_tx_dbm - out.rx_dbm), 1.0);
+  return out;
+}
+
+/// A random layout straddling the origin, about a third of it snapped
+/// onto exact multiples of the cutoff radius (the planner's cell
+/// boundaries), with mixed transmit powers and carrier-sense levels.
+/// Seeds cycle through component and border plans, with and without
+/// flows; border tiles are the cutoff radius or a fraction/multiple.
+PlanCase random_plan_case(std::uint64_t seed) {
+  Rng rng(seed);
+  PlanCase c;
+  constexpr double kExponents[] = {3.0, 3.5, 5.0};
+  constexpr double kMargins[] = {0.0, 6.0, 15.0, 15.0, kInf};
+  constexpr double kTxDbm[] = {8.0, 14.0, 17.0, 23.0};
+  constexpr double kCsDbm[] = {-62.0, -76.0, -82.0, -90.0};
+  c.config.pathloss.exponent_after = kExponents[rng.uniform_int(3)];
+  c.options.cutoff_margin_db = kMargins[rng.uniform_int(5)];
+  c.options.border = seed % 2 == 1;
+  c.with_flows = seed % 4 < 2;
+  c.nodes.resize(24 + rng.uniform_int(120));
+  for (net::NodeConfig& node : c.nodes) {
+    node.tx_power_dbm = kTxDbm[rng.uniform_int(4)];
+    node.cs_threshold_dbm = kCsDbm[rng.uniform_int(4)];
+  }
+  const double radius = reference_cutoff(c).radius_m;
+  const double snap = std::isfinite(radius) ? radius : 50.0;
+  const double half = snap * rng.uniform(1.0, 2.5);
+  for (net::NodeConfig& node : c.nodes) {
+    if (rng.bernoulli(0.35)) {
+      const double kx = static_cast<double>(rng.uniform_int(7)) - 3.0;
+      const double ky = static_cast<double>(rng.uniform_int(7)) - 3.0;
+      node.position = {kx * snap, ky * snap};
+    } else {
+      node.position = {rng.uniform(-half, half), rng.uniform(-half, half)};
+    }
+  }
+  if (c.options.border) {
+    constexpr double kTileScale[] = {0.0, 0.6, 1.7};
+    c.options.border_tile_m = kTileScale[rng.uniform_int(3)] * snap;
+    if (!std::isfinite(radius) && c.options.border_tile_m == 0.0) {
+      c.options.border_tile_m = snap;
+    }
+  }
+  const std::size_t n = c.nodes.size();
+  for (std::size_t f = 0; f < n / 4; ++f) {
+    const std::size_t src = rng.uniform_int(n);
+    const std::size_t dst = (src + 1 + rng.uniform_int(n - 1)) % n;
+    c.flows.push_back({src, dst});
+  }
+  return c;
+}
+
+/// The plan any correct planner must build for `c`: the cutoff
+/// predicate applied to every ordered pair (no grid), components by
+/// breadth-first search in node order, border tiles by the smallest
+/// member of each flow cluster, and loads, minimum border distance and
+/// lookahead counted straight off that CSR.
+///
+/// The planner's radius reject drops a pair whose squared distance
+/// exceeds the squared cutoff radius. That can disagree with the
+/// predicate only where rounding leaves a pair one radius apart an ulp
+/// on either side (nodes at 2r and 3r on an axis): such pairs are
+/// counted in `*trimmed` and left out, and any other pair the
+/// predicate keeps beyond the radius fails the test.
+net::ShardPlan reference_plan(const PlanCase& c, std::size_t* trimmed) {
+  const std::size_t n = c.nodes.size();
+  const Cutoff cut = reference_cutoff(c);
+  net::ShardPlan ref;
+  ref.cutoff_rx_dbm = cut.rx_dbm;
+  ref.cutoff_radius_m = cut.radius_m;
+  auto dist = [&](std::size_t a, std::size_t b) {
+    return std::max(mesh::distance(c.nodes[a].position, c.nodes[b].position),
+                    0.5);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    ref.row_offset.push_back(ref.nbr.size());
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const double loss = c.config.pathloss.path_loss_db(dist(i, j));
+      if (c.nodes[i].tx_power_dbm - loss < cut.rx_dbm &&
+          c.nodes[j].tx_power_dbm - loss < cut.rx_dbm) {
+        continue;
+      }
+      const double dx = c.nodes[j].position.x - c.nodes[i].position.x;
+      const double dy = c.nodes[j].position.y - c.nodes[i].position.y;
+      if (dx * dx + dy * dy > cut.radius_m * cut.radius_m) {
+        EXPECT_LE(dist(i, j), cut.radius_m * (1.0 + 1e-12))
+            << i << "->" << j << " coupled well beyond the cutoff radius";
+        ++*trimmed;
+        continue;
+      }
+      ref.nbr.push_back(static_cast<std::uint32_t>(j));
+    }
+  }
+  ref.row_offset.push_back(ref.nbr.size());
+
+  // Breadth-first labelling from the smallest unlabelled node, over the
+  // coupling graph (component mode) or the flow graph (border mode).
+  auto label = [n](const std::vector<std::vector<std::size_t>>& adj) {
+    std::vector<std::size_t> root(n, n);
+    for (std::size_t s = 0; s < n; ++s) {
+      if (root[s] != n) continue;
+      std::vector<std::size_t> queue{s};
+      root[s] = s;
+      for (std::size_t q = 0; q < queue.size(); ++q) {
+        for (std::size_t v : adj[queue[q]]) {
+          if (root[v] == n) {
+            root[v] = s;
+            queue.push_back(v);
+          }
+        }
+      }
+    }
+    return root;
+  };
+  std::vector<std::vector<std::size_t>> adj(n);
+  std::vector<std::size_t> root;
+  if (!c.options.border) {
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t e = ref.row_offset[i]; e < ref.row_offset[i + 1]; ++e)
+        adj[i].push_back(ref.nbr[e]);
+    root = label(adj);
+  } else {
+    if (c.with_flows) {
+      for (const net::Flow& f : c.flows) {
+        adj[f.source].push_back(f.destination);
+        adj[f.destination].push_back(f.source);
+      }
+    }
+    const std::vector<std::size_t> rep = label(adj);
+    const double tile = c.options.border_tile_m > 0.0 ? c.options.border_tile_m
+                                                      : cut.radius_m;
+    // Tiles are keyed on the representative's cell, binned by the same
+    // reciprocal multiply the planner documents; numbered by first use.
+    const double inv = 1.0 / tile;
+    std::vector<std::pair<double, double>> keys;
+    root.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const mesh::Point& p = c.nodes[rep[i]].position;
+      const std::pair<double, double> key{std::floor(p.x * inv),
+                                          std::floor(p.y * inv)};
+      const auto it = std::find(keys.begin(), keys.end(), key);
+      root[i] = static_cast<std::size_t>(it - keys.begin());
+      if (it == keys.end()) keys.push_back(key);
+    }
+  }
+  std::vector<std::size_t> shard_of_root(n, n);
+  ref.shard_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shard_of_root[root[i]] == n) {
+      shard_of_root[root[i]] = ref.shards.size();
+      ref.shards.emplace_back();
+    }
+    ref.shard_of[i] = static_cast<std::uint32_t>(shard_of_root[root[i]]);
+    ref.shards[ref.shard_of[i]].push_back(static_cast<std::uint32_t>(i));
+  }
+
+  ref.border = c.options.border;
+  ref.load.resize(ref.shards.size());
+  double min_border = kInf;
+  for (std::size_t i = 0; i < n; ++i) {
+    net::ShardLoad& l = ref.load[ref.shard_of[i]];
+    ++l.nodes;
+    for (std::size_t e = ref.row_offset[i]; e < ref.row_offset[i + 1]; ++e) {
+      if (ref.shard_of[ref.nbr[e]] == ref.shard_of[i]) {
+        ++l.intra_edges;
+      } else {
+        ++l.border_edges;
+        min_border = std::min(min_border, dist(i, ref.nbr[e]));
+      }
+    }
+  }
+  if (c.with_flows) {
+    for (const net::Flow& f : c.flows) ++ref.load[ref.shard_of[f.source]].flows;
+  }
+  if (ref.border) {
+    ref.min_border_m = std::isfinite(min_border) ? min_border : 0.0;
+    const double slot_s = mac::mac_timing(c.config.generation).slot_s;
+    ref.lookahead_s = std::exp2(
+        std::floor(std::log2(slot_s + ref.min_border_m / kSpeedOfLight)));
+  }
+  return ref;
+}
+
+void expect_same_plan(const net::ShardPlan& a, const net::ShardPlan& b) {
+  EXPECT_EQ(a.cutoff_rx_dbm, b.cutoff_rx_dbm);
+  EXPECT_EQ(a.cutoff_radius_m, b.cutoff_radius_m);
+  EXPECT_EQ(a.row_offset, b.row_offset);
+  EXPECT_EQ(a.nbr, b.nbr);
+  EXPECT_EQ(a.shard_of, b.shard_of);
+  EXPECT_EQ(a.shards, b.shards);
+  EXPECT_EQ(a.border, b.border);
+  EXPECT_EQ(a.lookahead_s, b.lookahead_s);
+  EXPECT_EQ(a.min_border_m, b.min_border_m);
+  ASSERT_EQ(a.load.size(), b.load.size());
+  for (std::size_t s = 0; s < a.load.size(); ++s) {
+    EXPECT_EQ(a.load[s].nodes, b.load[s].nodes) << "shard " << s;
+    EXPECT_EQ(a.load[s].flows, b.load[s].flows) << "shard " << s;
+    EXPECT_EQ(a.load[s].intra_edges, b.load[s].intra_edges) << "shard " << s;
+    EXPECT_EQ(a.load[s].border_edges, b.load[s].border_edges)
+        << "shard " << s;
+  }
+}
+
+TEST(ShardPlan, MatchesAllPairsReferenceAtAnyJobs) {
+  std::size_t border_with_flows = 0;
+  std::size_t trimmed = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const PlanCase c = random_plan_case(seed);
+    const std::vector<net::Flow>* flows = c.with_flows ? &c.flows : nullptr;
+    net::ShardOptions one = c.options;
+    one.jobs = 1;
+    net::ShardOptions four = c.options;
+    four.jobs = 4;
+    const net::ShardPlan p1 = net::plan_shards(c.config, c.nodes, one, flows);
+    const net::ShardPlan p4 = net::plan_shards(c.config, c.nodes, four, flows);
+    expect_same_plan(p1, p4);
+    expect_same_plan(p1, reference_plan(c, &trimmed));
+    border_with_flows += c.options.border && c.with_flows;
+  }
+  EXPECT_GE(border_with_flows, 4u);
+  // The snapped layouts do reach the radius boundary.
+  EXPECT_GT(trimmed, 0u);
 }
 
 // --- Shard vs monolith equivalence ----------------------------------
