@@ -1,14 +1,19 @@
 #include "net/shard.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/check.h"
 #include "common/units.h"
 #include "mac/timing.h"
+#include "par/montecarlo.h"
+#include "par/pool.h"
 
 namespace wlan::net {
 namespace {
@@ -58,6 +63,71 @@ class UnionFind {
   std::vector<std::uint32_t> parent_;
 };
 
+/// Nodes binned into square cells by one counting sort over the bounding
+/// box of the occupied cells: cell c holds members[start[c] ..
+/// start[c + 1]), ascending, and cells are row-major, `width` per row.
+struct CellGrid {
+  std::size_t width = 0;
+  std::size_t height = 0;
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> members;
+  std::vector<std::size_t> cell_of;  ///< per node
+};
+
+/// Bins nodes into cells of edge 1 / inv_cell (one cell when inv_cell is
+/// 0), keyed floor(x * inv_cell), floor(y * inv_cell). A layout sparse
+/// enough to need more than ~4 cells per node merges cells k x k, k a
+/// power of two: a merged cell's 3x3 neighbourhood covers the original
+/// cell's, so merging adds candidate pairs but never drops one.
+CellGrid bin_nodes(const std::vector<NodeConfig>& nodes, double inv_cell) {
+  const std::size_t n = nodes.size();
+  std::vector<std::int64_t> cx(n);
+  std::vector<std::int64_t> cy(n);
+  std::int64_t x0 = std::numeric_limits<std::int64_t>::max();
+  std::int64_t y0 = x0;
+  std::int64_t x1 = std::numeric_limits<std::int64_t>::min();
+  std::int64_t y1 = x1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const mesh::Point& p = nodes[i].position;
+    cx[i] = static_cast<std::int64_t>(std::floor(p.x * inv_cell));
+    cy[i] = static_cast<std::int64_t>(std::floor(p.y * inv_cell));
+    x0 = std::min(x0, cx[i]);
+    x1 = std::max(x1, cx[i]);
+    y0 = std::min(y0, cy[i]);
+    y1 = std::max(y1, cy[i]);
+  }
+  // Offsets from the box corner, in unsigned arithmetic so any int64
+  // span fits.
+  const auto offset = [](std::int64_t v, std::int64_t lo) {
+    return static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(lo);
+  };
+  const double budget = 4.0 * static_cast<double>(n) + 64.0;
+  std::uint64_t k = 1;
+  while (static_cast<double>(offset(x1, x0) / k + 1) *
+             static_cast<double>(offset(y1, y0) / k + 1) >
+         budget) {
+    k *= 2;
+  }
+
+  CellGrid g;
+  g.width = static_cast<std::size_t>(offset(x1, x0) / k + 1);
+  g.height = static_cast<std::size_t>(offset(y1, y0) / k + 1);
+  g.start.assign(g.width * g.height + 1, 0);
+  g.cell_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    g.cell_of[i] = static_cast<std::size_t>(offset(cy[i], y0) / k) * g.width +
+                   static_cast<std::size_t>(offset(cx[i], x0) / k);
+    ++g.start[g.cell_of[i] + 1];
+  }
+  for (std::size_t c = 0; c + 1 < g.start.size(); ++c)
+    g.start[c + 1] += g.start[c];
+  g.members.resize(n);
+  std::vector<std::uint32_t> fill(g.start.begin(), g.start.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    g.members[fill[g.cell_of[i]]++] = static_cast<std::uint32_t>(i);
+  return g;
+}
+
 /// Largest power of two <= x. Epoch boundaries k * lookahead must be
 /// exact doubles so that a record stamped at u >= j*L, once delayed by
 /// L, can never round below the (j+1)*L boundary (monotone rounding of
@@ -78,6 +148,11 @@ ShardPlan plan_shards(const NetworkConfig& config,
   check(n < std::numeric_limits<std::uint32_t>::max(),
         "plan_shards node count exceeds uint32 indexing");
   check(!(options.cutoff_margin_db < 0.0), "cutoff_margin_db must be >= 0");
+  if (flows) {
+    for (const Flow& f : *flows)
+      check(f.source < n && f.destination < n,
+            "plan_shards: flow endpoint out of range");
+  }
 
   ShardPlan plan;
   const bool bounded = std::isfinite(options.cutoff_margin_db);
@@ -104,100 +179,9 @@ ShardPlan plan_shards(const NetworkConfig& config,
     plan.cutoff_radius_m = std::numeric_limits<double>::infinity();
   }
 
-  // Adjacency rows. The unbounded plan keeps every pair; the bounded
-  // plan bins nodes into a hash grid of cutoff-radius cells and tests
-  // only the 3x3 neighbourhood (a coupled pair is at most one cell
-  // apart by construction of the radius).
-  std::vector<std::vector<std::uint32_t>> rows(n);
-  if (!bounded) {
-    plan.tile_m = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i].reserve(n - 1);
-      for (std::size_t j = 0; j < n; ++j)
-        if (j != i) rows[i].push_back(static_cast<std::uint32_t>(j));
-    }
-  } else {
-    plan.tile_m =
-        options.tile_m > 0.0 ? options.tile_m : plan.cutoff_radius_m;
-    const double inv_tile = 1.0 / plan.tile_m;
-    auto cell_of = [inv_tile](const mesh::Point& p) {
-      return CellKey{static_cast<std::int64_t>(std::floor(p.x * inv_tile)),
-                     static_cast<std::int64_t>(std::floor(p.y * inv_tile))};
-    };
-    std::unordered_map<CellKey, std::vector<std::uint32_t>, CellHash> grid;
-    grid.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      grid[cell_of(nodes[i].position)].push_back(
-          static_cast<std::uint32_t>(i));
-
-    // Exact pairwise test, symmetric by construction: a pair is kept
-    // when either direction's deterministic received power clears the
-    // cutoff. Same clamped-distance convention as the engine's gain.
-    const double cutoff = plan.cutoff_rx_dbm;
-    auto coupled = [&](std::uint32_t a, std::uint32_t b) {
-      const double d = std::max(
-          mesh::distance(nodes[a].position, nodes[b].position), 0.5);
-      const double loss = config.pathloss.path_loss_db(d);
-      return nodes[a].tx_power_dbm - loss >= cutoff ||
-             nodes[b].tx_power_dbm - loss >= cutoff;
-    };
-    const double radius_sq = plan.cutoff_radius_m * plan.cutoff_radius_m;
-    for (std::size_t i = 0; i < n; ++i) {
-      const mesh::Point& pi = nodes[i].position;
-      const CellKey c = cell_of(pi);
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        for (std::int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(CellKey{c.x + dx, c.y + dy});
-          if (it == grid.end()) continue;
-          for (std::uint32_t j : it->second) {
-            if (j == static_cast<std::uint32_t>(i)) continue;
-            const double ddx = nodes[j].position.x - pi.x;
-            const double ddy = nodes[j].position.y - pi.y;
-            // Cheap reject: beyond the cutoff radius even the
-            // strongest transmitter is below the cutoff, so the exact
-            // test cannot pass (the radius came from max tx power).
-            if (ddx * ddx + ddy * ddy > radius_sq) continue;
-            if (coupled(static_cast<std::uint32_t>(i), j))
-              rows[i].push_back(j);
-          }
-        }
-      }
-      std::sort(rows[i].begin(), rows[i].end());
-    }
-  }
-
-  // Flatten to CSR.
-  plan.row_offset.assign(n + 1, 0);
-  std::size_t edges = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.row_offset[i] = edges;
-    edges += rows[i].size();
-  }
-  plan.row_offset[n] = edges;
-  plan.nbr.reserve(edges);
-  for (std::size_t i = 0; i < n; ++i)
-    plan.nbr.insert(plan.nbr.end(), rows[i].begin(), rows[i].end());
-
-  if (!options.border) {
-    // Connected components = shards, numbered by smallest member.
-    UnionFind uf(n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t e = plan.row_offset[i]; e < plan.row_offset[i + 1];
-           ++e)
-        uf.unite(static_cast<std::uint32_t>(i), plan.nbr[e]);
-    plan.shard_of.assign(n, 0);
-    std::unordered_map<std::uint32_t, std::uint32_t> shard_index;
-    shard_index.reserve(64);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t root = uf.find(static_cast<std::uint32_t>(i));
-      auto [it, inserted] = shard_index.emplace(
-          root, static_cast<std::uint32_t>(plan.shards.size()));
-      if (inserted) plan.shards.emplace_back();
-      plan.shard_of[i] = it->second;
-      plan.shards[it->second].push_back(static_cast<std::uint32_t>(i));
-    }
-  } else {
-    // Border mode: uniform spatial tiles, coupled across boundaries.
+  // Border tiles depend on geometry and flows only, so they are known
+  // before the rows and the row pass can count cross-tile edges.
+  if (options.border) {
     plan.border = true;
     const double border_tile =
         options.border_tile_m > 0.0 ? options.border_tile_m
@@ -232,23 +216,177 @@ ShardPlan plan_shards(const NetworkConfig& config,
       plan.shard_of[i] = it->second;
       plan.shards[it->second].push_back(static_cast<std::uint32_t>(i));
     }
+  }
 
+  // Adjacency rows. Nodes are binned into cells whose edge is the
+  // cutoff radius (one cell when unbounded), so a coupled pair is at
+  // most one cell apart and candidates come from the 3x3 neighbourhood.
+  // Chunks of rows run on the pool `options.jobs` selects (inline for
+  // one chunk, as for an unbounded plan) in three passes:
+  //  1. Each pair is tested once, from its smaller node i: row i's
+  //     coupled j > i go, sorted, into the chunk's buffer (the upper
+  //     row), and i is counted into row j's lower part. Cross-tile
+  //     edges and the shortest cross-tile distance are counted here.
+  //  2. A prefix sum of row lengths lays out row_offset; each chunk
+  //     copies its upper rows into place and scatters i into the
+  //     lower part of each of its rows' j.
+  //  3. Lower parts are sorted. Row i is its lower part (< i) then its
+  //     upper part (> i), so it is ascending.
+  // Both directions of a pair share one distance and one predicate
+  // call, and the lower parts are sorted, so the CSR is the same for
+  // any chunking and lane count.
+  const CellGrid grid = bin_nodes(nodes, bounded ? 1.0 / plan.cutoff_radius_m
+                                                 : 0.0);
+  const double cutoff = plan.cutoff_rx_dbm;
+  const double radius_sq = plan.cutoff_radius_m * plan.cutoff_radius_m;
+  constexpr std::size_t kRowsPerChunk = 64;
+  const std::size_t n_chunks =
+      bounded ? (n + kRowsPerChunk - 1) / kRowsPerChunk : 1;
+  const auto chunk_rows = [&](std::size_t c) {
+    return std::pair{c * n / n_chunks, (c + 1) * n / n_chunks};
+  };
+  std::unique_ptr<par::ThreadPool> owned;
+  par::ThreadPool* pool = nullptr;
+  if (n_chunks > 1) {
+    par::SweepOptions pool_opt;
+    pool_opt.jobs = options.jobs;
+    pool = &par::detail::select_pool(pool_opt, owned);
+  }
+  const auto for_each_chunk = [&](const auto& body) {
+    if (pool == nullptr) {
+      body(0);
+      return;
+    }
+    pool->parallel_for(n_chunks, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t c = b; c < e; ++c) body(c);
+    });
+  };
+  const auto bump = [](std::uint32_t& count) {
+    std::atomic_ref<std::uint32_t>(count).fetch_add(
+        1, std::memory_order_relaxed);
+  };
+
+  std::vector<std::vector<std::uint32_t>> upper(n_chunks);
+  std::vector<std::uint32_t> upper_len(n, 0);
+  std::vector<std::uint32_t> lower_len(n, 0);
+  std::vector<std::uint32_t> cross(plan.border ? n : 0, 0);
+  std::vector<double> chunk_min_d(n_chunks,
+                                  std::numeric_limits<double>::infinity());
+  for_each_chunk([&](std::size_t c) {
+    std::vector<std::uint32_t>& out = upper[c];
+    double min_d = std::numeric_limits<double>::infinity();
+    const auto [begin, end] = chunk_rows(c);
+    for (std::size_t i = begin; i < end; ++i) {
+      const mesh::Point& pi = nodes[i].position;
+      const std::size_t x = grid.cell_of[i] % grid.width;
+      const std::size_t y = grid.cell_of[i] / grid.width;
+      const std::size_t x_lo = x == 0 ? 0 : x - 1;
+      const std::size_t x_hi = std::min(x + 1, grid.width - 1);
+      const std::size_t y_lo = y == 0 ? 0 : y - 1;
+      const std::size_t y_hi = std::min(y + 1, grid.height - 1);
+      const std::size_t row_begin = out.size();
+      for (std::size_t yy = y_lo; yy <= y_hi; ++yy) {
+        const std::uint32_t m_end = grid.start[yy * grid.width + x_hi + 1];
+        for (std::uint32_t m = grid.start[yy * grid.width + x_lo]; m < m_end;
+             ++m) {
+          const std::uint32_t j = grid.members[m];
+          if (j <= i) continue;
+          const mesh::Point& pj = nodes[j].position;
+          const double ddx = pj.x - pi.x;
+          const double ddy = pj.y - pi.y;
+          // Cheap reject: beyond the cutoff radius even the strongest
+          // transmitter is below the cutoff, up to rounding at the
+          // radius itself, where the reject decides.
+          if (ddx * ddx + ddy * ddy > radius_sq) continue;
+          // Exact test, symmetric by construction: a pair is kept when
+          // either direction's deterministic received power clears the
+          // cutoff. Same clamped-distance convention as the engine.
+          const double d = std::max(mesh::distance(pi, pj), 0.5);
+          if (bounded) {
+            const double loss = config.pathloss.path_loss_db(d);
+            if (!(nodes[i].tx_power_dbm - loss >= cutoff ||
+                  nodes[j].tx_power_dbm - loss >= cutoff))
+              continue;
+          }
+          out.push_back(j);
+          bump(lower_len[j]);
+          if (plan.border && plan.shard_of[i] != plan.shard_of[j]) {
+            bump(cross[i]);
+            bump(cross[j]);
+            min_d = std::min(min_d, d);
+          }
+        }
+      }
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(row_begin),
+                out.end());
+      upper_len[i] = static_cast<std::uint32_t>(out.size() - row_begin);
+    }
+    chunk_min_d[c] = min_d;
+  });
+
+  plan.row_offset.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    plan.row_offset[i + 1] = plan.row_offset[i] + lower_len[i] + upper_len[i];
+  plan.nbr.resize(plan.row_offset[n]);
+  // lower_len counts down as the scatter claims each row's slots.
+  for_each_chunk([&](std::size_t c) {
+    const auto [begin, end] = chunk_rows(c);
+    const std::uint32_t* src = upper[c].data();
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t* src_end = src + upper_len[i];
+      std::copy(src, src_end,
+                plan.nbr.begin() + static_cast<std::ptrdiff_t>(
+                                       plan.row_offset[i + 1] - upper_len[i]));
+      for (; src != src_end; ++src) {
+        const std::uint32_t slot =
+            std::atomic_ref<std::uint32_t>(lower_len[*src])
+                .fetch_sub(1, std::memory_order_relaxed) - 1;
+        plan.nbr[plan.row_offset[*src] + slot] =
+            static_cast<std::uint32_t>(i);
+      }
+    }
+    upper[c] = {};
+  });
+  for_each_chunk([&](std::size_t c) {
+    const auto [begin, end] = chunk_rows(c);
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto row = plan.nbr.begin();
+      std::sort(row + static_cast<std::ptrdiff_t>(plan.row_offset[i]),
+                row + static_cast<std::ptrdiff_t>(plan.row_offset[i + 1] -
+                                                  upper_len[i]));
+    }
+  });
+
+  if (!plan.border) {
+    // Connected components = shards, numbered by smallest member. The
+    // CSR is symmetric, so uniting each row's upper part covers every
+    // pair.
+    UnionFind uf(n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t e = plan.row_offset[i]; e < plan.row_offset[i + 1];
+           ++e)
+        if (plan.nbr[e] > i)
+          uf.unite(static_cast<std::uint32_t>(i), plan.nbr[e]);
+    // A root is its component's smallest member, so it is met first.
+    plan.shard_of.assign(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t root = uf.find(static_cast<std::uint32_t>(i));
+      if (root == i) {
+        plan.shard_of[i] = static_cast<std::uint32_t>(plan.shards.size());
+        plan.shards.emplace_back();
+      } else {
+        plan.shard_of[i] = plan.shard_of[root];
+      }
+      plan.shards[plan.shard_of[i]].push_back(static_cast<std::uint32_t>(i));
+    }
+  } else {
     // Lookahead: the minimum cross-border reaction time of a NAV or
     // interference change — one slot (the fastest a station acts on new
     // channel state) plus the shortest cross-tile coupled distance at
     // the speed of light — rounded down to a power of two (see
     // pow2_floor). A user-supplied delay is rounded the same way.
-    double min_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t e = plan.row_offset[i]; e < plan.row_offset[i + 1];
-           ++e) {
-        const std::uint32_t j = plan.nbr[e];
-        if (plan.shard_of[i] == plan.shard_of[j]) continue;
-        const double d = std::max(
-            mesh::distance(nodes[i].position, nodes[j].position), 0.5);
-        min_d = std::min(min_d, d);
-      }
-    }
+    const double min_d =
+        *std::min_element(chunk_min_d.begin(), chunk_min_d.end());
     plan.min_border_m = std::isfinite(min_d) ? min_d : 0.0;
     const double slot_s = mac::mac_timing(config.generation).slot_s;
     const double phys =
@@ -259,25 +397,18 @@ ShardPlan plan_shards(const NetworkConfig& config,
   }
 
   // Per-shard load estimates: nodes, flows, and neighbor-pair counts
-  // (directed CSR edges, split into same-shard and cross-shard).
+  // (directed CSR edges, split into same-shard and cross-shard; a
+  // component plan has no cross-shard edge).
   plan.load.assign(plan.shards.size(), ShardLoad{});
-  for (std::size_t s = 0; s < plan.shards.size(); ++s)
-    plan.load[s].nodes = plan.shards[s].size();
   for (std::size_t i = 0; i < n; ++i) {
     ShardLoad& l = plan.load[plan.shard_of[i]];
-    for (std::size_t e = plan.row_offset[i]; e < plan.row_offset[i + 1]; ++e) {
-      if (plan.shard_of[plan.nbr[e]] == plan.shard_of[i])
-        ++l.intra_edges;
-      else
-        ++l.border_edges;
-    }
+    const std::size_t border_edges = plan.border ? cross[i] : 0;
+    ++l.nodes;
+    l.intra_edges += plan.degree(i) - border_edges;
+    l.border_edges += border_edges;
   }
   if (flows) {
-    for (const Flow& f : *flows) {
-      check(f.source < n && f.destination < n,
-            "plan_shards: flow endpoint out of range");
-      ++plan.load[plan.shard_of[f.source]].flows;
-    }
+    for (const Flow& f : *flows) ++plan.load[plan.shard_of[f.source]].flows;
   }
   return plan;
 }

@@ -13,13 +13,16 @@
 //     direction's deterministic received power (tx power minus dual-
 //     slope path loss, before shadowing) still clears that cutoff.
 //     Everything below it is treated as exactly zero.
-//  2. Tiling. Nodes are binned into a uniform hash grid whose cell
-//     size is the cutoff radius (the distance at which the strongest
-//     transmitter decays to the cutoff), so candidate pairs come from
-//     the 3x3 cell neighbourhood — O(n * degree) instead of O(n^2).
+//  2. Tiling. One counting sort bins the nodes into a flat grid of
+//     square cells over their bounding box. The cell edge is the cutoff
+//     radius (the distance at which the strongest transmitter decays
+//     to the cutoff), so candidate pairs come from the 3x3 cell
+//     neighbourhood — O(n * degree) instead of O(n^2).
 //  3. Neighbor lists. The retained pairs form a symmetric CSR
-//     adjacency (ascending per row). The engine stores gains only for
-//     these edges.
+//     adjacency (ascending per row). Chunks of rows are built in
+//     parallel on the pool `ShardOptions::jobs` selects and laid out by
+//     a prefix sum of row lengths, so the plan is identical at any
+//     `jobs`. The engine stores gains only for these edges.
 //  4. Shards. Connected components of the coupling graph. Two nodes in
 //     different components cannot exchange any above-cutoff power, so
 //     each component simulates independently: private event queue,
@@ -62,10 +65,8 @@ struct ShardOptions {
   /// the largest plausible shadowing upside (3-4 sigma). +infinity
   /// keeps every pair (monolithic plan).
   double cutoff_margin_db = 15.0;
-  /// Hash-grid cell size in metres; 0 = the cutoff radius.
-  double tile_m = 0.0;
-  /// Worker lanes for the engines (and the call's fading pool); 0 = the
-  /// process default pool.
+  /// Worker lanes for the plan's row build, the engines and the call's
+  /// fading pool; 0 = the process default pool.
   unsigned jobs = 0;
 
   /// Border mode: shard by uniform spatial tiles instead of connected
@@ -108,8 +109,6 @@ struct ShardPlan {
   /// Distance at which the strongest transmitter decays to the cutoff
   /// (+inf when disabled).
   double cutoff_radius_m = 0.0;
-  /// Hash-grid cell size actually used (0 when the grid was skipped).
-  double tile_m = 0.0;
 
   /// Symmetric CSR adjacency over retained pairs: row i spans
   /// nbr[row_offset[i] .. row_offset[i+1]), ascending, i excluded.

@@ -405,6 +405,26 @@ TEST(ShardPlan, MatchesAllPairsReferenceAtAnyJobs) {
   EXPECT_GT(trimmed, 0u);
 }
 
+// Half of each layout moved a million cutoff radii away: the cell box
+// is far too sparse to allocate cell by cell, so the grid merges cells.
+TEST(ShardPlan, SparseLayoutMatchesAllPairsReference) {
+  std::size_t trimmed = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PlanCase c = random_plan_case(seed);
+    c.options.cutoff_margin_db = 15.0;
+    const double radius = reference_cutoff(c).radius_m;
+    for (std::size_t i = 0; i < c.nodes.size(); i += 2) {
+      c.nodes[i].position.x += 1e6 * radius;
+      c.nodes[i].position.y -= 3e5 * radius;
+    }
+    const std::vector<net::Flow>* flows = c.with_flows ? &c.flows : nullptr;
+    c.options.jobs = 4;
+    expect_same_plan(net::plan_shards(c.config, c.nodes, c.options, flows),
+                     reference_plan(c, &trimmed));
+  }
+}
+
 // --- Shard vs monolith equivalence ----------------------------------
 
 // The monolith is the unbounded plan's single round: simulate_network
