@@ -190,8 +190,6 @@ struct PerfTls {
 #endif
 extern thread_local constinit PerfTls g_tls WLAN_PERF_TLS_MODEL;
 
-inline PerfTls& tls() noexcept { return g_tls; }
-
 /// Monotonic nanoseconds from the active tick source (steady_clock
 /// unless a test injected one).
 std::uint64_t now_ns() noexcept;

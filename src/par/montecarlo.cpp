@@ -32,14 +32,15 @@ ProfileShardGuard::ProfileShardGuard(const ProfileTargets& targets) {
   // Arm the executing thread's dedicated shard collector: draining it at
   // retire can then never sweep up spans the thread recorded outside
   // this chunk (the caller helping from inside its own open spans keeps
-  // those in thread_collector()).
-  obs::perf::detail::PerfTls& tls = obs::perf::detail::tls();
-  saved_ = tls;
+  // those in thread_collector()). The per-thread state is read by name,
+  // as obs/perf.cpp does.
+  using obs::perf::detail::g_tls;
+  saved_ = g_tls;
   obs::perf::detail::SpanCollector& shard =
       obs::perf::detail::shard_collector();
-  tls.collector = &shard;
-  tls.current = shard.root();
-  tls.target = targets.spans;
+  g_tls.collector = &shard;
+  g_tls.current = shard.root();
+  g_tls.target = targets.spans;
 }
 
 ProfileShardGuard::~ProfileShardGuard() {
@@ -47,7 +48,7 @@ ProfileShardGuard::~ProfileShardGuard() {
   // SpanProfile::add is internally synchronized; no global lock needed.
   obs::perf::detail::shard_collector().drain_into(*targets_->spans,
                                                   targets_->prefix);
-  obs::perf::detail::tls() = saved_;
+  obs::perf::detail::g_tls = saved_;
 }
 
 ProfileTargets profiling_targets() {
