@@ -21,8 +21,9 @@
 //  3. Neighbor lists. The retained pairs form a symmetric CSR
 //     adjacency (ascending per row). Chunks of rows are built in
 //     parallel on the pool `ShardOptions::jobs` selects and laid out by
-//     a prefix sum of row lengths, so the plan is identical at any
-//     `jobs`. The engine stores gains only for these edges.
+//     a prefix sum of row lengths; each row depends on the geometry
+//     alone and is sorted, so the plan is identical at any `jobs`. The
+//     engine stores gains only for these edges.
 //  4. Shards. Connected components of the coupling graph. Two nodes in
 //     different components cannot exchange any above-cutoff power, so
 //     each component simulates independently: private event queue,
