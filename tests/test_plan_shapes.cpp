@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,17 @@ TEST(CallerStream, BatchRunIsOneRootDrawOffItsRunStream) {
 
 // --- Randomized plan shapes ------------------------------------------
 
+/// The DSSS PER model with 4 dB shadowing: a DSSS fading pool builds in
+/// a fraction of the OFDM one's time.
+void use_dsss_per(net::NetworkConfig& cfg) {
+  cfg.error_model.model = net::RxModel::kPerModel;
+  cfg.error_model.shadowing_sigma_db = 4.0;
+  cfg.error_model.realizations = 8;
+  cfg.generation = mac::PhyGeneration::kDsss;
+  cfg.data_rate_mbps = 2.0;
+  cfg.basic_rate_mbps = 1.0;
+}
+
 /// A seeded random deployment: 2-4 BSSs scattered over a square of
 /// 400 m (one component) or 8 km (usually several) a side, 1-3 clients each sending uplink, RTS on or off, saturated or Poisson
 /// per flow, SINR threshold or (`per`) the DSSS PER model with 4 dB
@@ -150,14 +162,7 @@ Scenario random_scenario(std::uint64_t seed, bool per) {
   net::NetworkConfig& cfg = s.config;
   cfg.duration_s = 0.05;
   cfg.rts_cts = rng.bernoulli(0.5);
-  if (per) {
-    cfg.error_model.model = net::RxModel::kPerModel;
-    cfg.error_model.shadowing_sigma_db = 4.0;
-    cfg.error_model.realizations = 8;
-    cfg.generation = mac::PhyGeneration::kDsss;
-    cfg.data_rate_mbps = 2.0;
-    cfg.basic_rate_mbps = 1.0;
-  }
+  if (per) use_dsss_per(cfg);
   const std::size_t n_bss = 2 + rng.uniform_int(3);
   const double side_m = rng.bernoulli(0.5) ? 400.0 : 8000.0;
   for (std::size_t b = 0; b < n_bss; ++b) {
@@ -304,6 +309,93 @@ TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
             "24/28/3/0 12/13/1/0 10/11/1/0 32/35/3/0 32/36/3/0 data_tx=221 "
             "data_failures=0 rts_tx=251 rts_failures=30 "
             "simultaneous_starts=26 messages=3648 epochs=2969");
+}
+
+/// Counts TX_STARTs addressed to a node that already has a reception
+/// in flight, i.e. receptions that overlap at one receiver.
+class OverlappingRxCounter final : public obs::TraceSink {
+ public:
+  void record(const obs::TraceEvent& e) override {
+    if (e.peer < 0) return;
+    if (e.type == obs::EventType::kTxStart) {
+      if (in_flight_[e.peer]++ > 0) ++count;
+    } else if (e.type == obs::EventType::kTxEnd) {
+      --in_flight_[e.peer];
+    }
+  }
+  std::uint64_t count = 0;
+
+ private:
+  std::map<std::int32_t, int> in_flight_;
+};
+
+/// An AP on a tile edge (x = 50 m under 50 m tiles) with three clients
+/// 40 m out at 120 degree spacing (69 m apart, so hidden from each
+/// other) and a downlink to the first. A one-client cell sits in a tile
+/// on either side; their transmissions reach the edge AP only through
+/// its tile's inbound rows.
+Scenario edge_ap_cells() {
+  Scenario s;
+  s.config.duration_s = 0.05;
+  s.component = false;
+  s.border_tile_m = 50.0;
+  s.nodes.push_back({{50.0, 25.0}});
+  for (const double deg : {0.0, 120.0, 240.0}) {
+    const double a = deg * M_PI / 180.0;
+    s.nodes.push_back(
+        {{50.0 + 40.0 * std::cos(a), 25.0 + 40.0 * std::sin(a)}});
+    s.flows.push_back({s.nodes.size() - 1, 0, 120.0});
+  }
+  s.flows.push_back({0, 1, 120.0});
+  for (const double x0 : {140.0, -40.0}) {
+    const std::size_t ap = s.nodes.size();
+    s.nodes.push_back({{x0, 25.0}});
+    s.nodes.push_back({{x0 + (x0 > 0.0 ? 20.0 : -20.0), 25.0}});
+    s.flows.push_back({s.nodes.size() - 1, ap});
+    s.flows.push_back({ap, s.nodes.size() - 1, 200.0});
+  }
+  return s;
+}
+
+// Overlapping receptions at one receiver, power landing there from
+// local and inbound rows, under both reception models.
+TEST(PinnedOutputs, BorderApOnATileEdgeWithHiddenClients) {
+  struct Case {
+    bool per;
+    const char* pinned;
+  };
+  const Case cases[] = {
+      {false,
+       "flows 4/10/5/0 6/11/4/0 5/12/7/0 0/15/15/1 80/83/2/0 13/15/2/0 "
+       "85/87/1/0 10/11/1/0 data_tx=244 data_failures=37 rts_tx=0 "
+       "rts_failures=0 simultaneous_starts=4 messages=896 epochs=1864"},
+      {true,
+       "flows 0/7/7/0 4/14/10/0 0/15/14/1 0/6/6/0 11/13/1/0 29/30/1/0 "
+       "29/30/1/0 11/13/1/0 data_tx=128 data_failures=41 rts_tx=0 "
+       "rts_failures=0 simultaneous_starts=2 messages=424 epochs=1166"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.per ? "PER model" : "SINR threshold");
+    Scenario s = edge_ap_cells();
+    if (c.per) {
+      use_dsss_per(s.config);
+      s.config.duration_s = 0.2;  // DSSS frames run 4 ms
+    }
+    // Tiled at jobs 1 and 4 against the fused reference, auditor clean.
+    const plan_shapes::Runs runs = plan_shapes::expect_plan_shapes_agree(s);
+    EXPECT_EQ(runs.border.tiled.result.border.tiles, 3u);
+    EXPECT_EQ(pinned_outputs(runs.border.tiled.result), c.pinned);
+
+    OverlappingRxCounter overlap;
+    s.config.trace = &overlap;
+    net::ShardOptions opt;
+    opt.border = true;
+    opt.border_tile_m = s.border_tile_m;
+    opt.jobs = 4;
+    const ShapeRun traced = plan_shapes::run_sharded(s, opt);
+    EXPECT_GT(overlap.count, 0u);
+    EXPECT_EQ(pinned_outputs(traced.result), c.pinned);
+  }
 }
 
 // --- Pool selection --------------------------------------------------
