@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -115,9 +115,14 @@ Engine::Engine(const NetworkConfig& config,
     edges += plan.row_offset[g + 1] - plan.row_offset[g];
   row_nbr_.reserve(edges);
   row_gain_.reserve(edges);
-  std::unordered_map<std::uint64_t,
-                     std::vector<std::pair<std::uint32_t, double>>>
-      inbound_rows;
+  // Inbound edges as (row key, local receiver, gain); the key is
+  // origin global id * n_tiles + this tile, as inbound_row computes it.
+  struct InboundEdge {
+    std::uint64_t key;
+    std::uint32_t rx;
+    double gain_w;
+  };
+  std::vector<InboundEdge> inbound;
   std::vector<std::uint32_t> out_scratch;
   for (std::size_t l = 0; l < n_; ++l) {
     row_off_[l] = row_nbr_.size();
@@ -136,13 +141,12 @@ Engine::Engine(const NetworkConfig& config,
         row_gain_.push_back(gain_w(static_cast<std::uint32_t>(g), nbr_g));
       } else {
         // Outbound: l's transmissions influence nbr_tile. Inbound:
-        // nbr_g's transmissions deposit power at l (ascending l per
-        // origin because the outer loop ascends).
+        // nbr_g's transmissions deposit power at l.
         out_scratch.push_back(nbr_tile);
-        inbound_rows[static_cast<std::uint64_t>(nbr_g) * n_tiles_ +
-                     my_tile]
-            .emplace_back(static_cast<std::uint32_t>(l),
-                          gain_w(nbr_g, static_cast<std::uint32_t>(g)));
+        inbound.push_back(
+            {static_cast<std::uint64_t>(nbr_g) * n_tiles_ + my_tile,
+             static_cast<std::uint32_t>(l),
+             gain_w(nbr_g, static_cast<std::uint32_t>(g))});
       }
     }
     std::sort(out_scratch.begin(), out_scratch.end());
@@ -157,13 +161,21 @@ Engine::Engine(const NetworkConfig& config,
   std::sort(peer_tiles_.begin(), peer_tiles_.end());
   peer_tiles_.erase(std::unique(peer_tiles_.begin(), peer_tiles_.end()),
                     peer_tiles_.end());
-  for (const auto& [key, row] : inbound_rows) {
-    inbound_[key] = {row_nbr_.size(), row_nbr_.size() + row.size()};
-    for (const auto& [l, gain] : row) {
-      row_nbr_.push_back(l);
-      row_gain_.push_back(gain);
+  // Inbound rows follow the local ones in key order, each ascending by
+  // receiver, so inbound_row finds a row by binary search on its key.
+  std::sort(inbound.begin(), inbound.end(),
+            [](const InboundEdge& a, const InboundEdge& b) {
+              return std::tie(a.key, a.rx) < std::tie(b.key, b.rx);
+            });
+  for (const InboundEdge& e : inbound) {
+    if (inbound_key_.empty() || inbound_key_.back() != e.key) {
+      inbound_key_.push_back(e.key);
+      inbound_off_.push_back(row_nbr_.size());
     }
+    row_nbr_.push_back(e.rx);
+    row_gain_.push_back(e.gain_w);
   }
+  inbound_off_.push_back(row_nbr_.size());
   mac_rng_.reserve(n_);
   rx_rng_.reserve(n_);
   for (std::size_t l = 0; l < n_; ++l) {
@@ -193,6 +205,8 @@ Engine::Engine(const NetworkConfig& config,
   wait_version_.assign(n_, 0);
   rate_index_.assign(n_, 0);
   arf_.resize(n_);
+  rx_head_.assign(n_, kNil);
+  affected_mark_.assign(n_, 0);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const std::uint32_t src = g2l[flows[f].source];
     if (src == kNil) continue;

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +37,10 @@ namespace wlan::net::detail {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
+/// One frame on the air. Lives in the engine's slot arena from TX start
+/// to TX end; a frame with an addressee is also on that node's
+/// reception list (`Engine::rx_head_`, linked through `next_rx`), so a
+/// power row reaches the receptions at each of its receivers directly.
 struct Transmission {
   std::size_t id = 0;
   std::size_t tx_node = kNone;  // local (shard) index
@@ -52,11 +55,8 @@ struct Transmission {
   double current_interference_w = 0.0;
   double worst_interference_w = 0.0;
   bool rx_was_transmitting = false;
-  // Slot-arena bookkeeping: insertion-order intrusive list, so walks
-  // see transmissions oldest-first and teardown is O(1) by slot handle.
-  bool in_use = false;
-  std::uint32_t prev = kNil;
-  std::uint32_t next = kNil;
+  bool in_use = false;           // slot-arena bookkeeping
+  std::uint32_t next_rx = kNil;  // next reception at the same `dest`
 };
 
 /// One transmitter's received power at the engine's nodes it reaches:
@@ -69,7 +69,9 @@ struct PowerRow {
   std::size_t size = 0;
 
   /// Received power at local node `m`; exactly zero outside the row
-  /// (the cutoff's definition of negligible).
+  /// (the cutoff's definition of negligible). A binary search, so it
+  /// serves only the one signal lookup per reception outcome in
+  /// end_transmission; the power passes walk the row itself.
   double at(std::size_t m) const {
     const std::uint32_t* end = rx + size;
     const std::uint32_t* it = std::lower_bound(rx, end, m);
@@ -292,11 +294,11 @@ class Engine {
   std::vector<std::uint64_t> wait_version_;
   std::vector<std::size_t> rate_index_;
   std::vector<std::optional<mac::ArfController>> arf_;
-  // Active transmissions: slot arena + insertion-order intrusive list.
+  // Active transmissions: a slot arena, plus per node the head of the
+  // intrusive list of ongoing receptions addressed to it (kNil: none).
   std::vector<Transmission> slots_;
   std::vector<std::uint32_t> free_;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
+  std::vector<std::uint32_t> rx_head_;
   std::size_t next_id_ = 0;
   // Per-recursion-depth scratch for the medium passes' fire lists.
   std::vector<std::vector<std::uint32_t>> fire_pool_;
@@ -344,10 +346,11 @@ class Engine {
   bool fused_ = false;   // one engine simulates every tile (reference)
   double delay_s_ = 0.0;  // cross-tile influence delay = plan lookahead
   std::size_t n_tiles_ = 0;
-  /// (origin global id * n_tiles + target tile) -> [begin, end) of its
-  /// inbound power row in row_nbr_/row_gain_.
-  std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
-      inbound_;
+  /// Inbound rows by key (origin global id * n_tiles + target tile),
+  /// ascending: key k's row spans row_nbr_/row_gain_
+  /// [inbound_off_[k], inbound_off_[k + 1]).
+  std::vector<std::uint64_t> inbound_key_;
+  std::vector<std::size_t> inbound_off_;
   /// Per local node: the tiles its transmissions influence (CSR).
   std::vector<std::size_t> out_off_;
   std::vector<std::uint32_t> out_tile_;
@@ -355,7 +358,10 @@ class Engine {
   /// Pending influence by apply time; one urgent event armed per key.
   std::map<double, std::vector<InfluenceRec>> influence_;
   std::vector<BorderMsg> outbox_;
-  std::vector<std::uint32_t> affected_;  // apply-time scratch
+  // Apply-time scratch: the distinct nodes an influence time reaches,
+  // and a per-node mark that dedupes them.
+  std::vector<std::uint32_t> affected_;
+  std::vector<std::uint8_t> affected_mark_;
   // Per-entity RNG streams (see the constructor).
   std::vector<Rng> mac_rng_;
   std::vector<Rng> rx_rng_;

@@ -44,48 +44,52 @@ void subtract_clamped(double& sum_w, double term_w, double peak_w,
 
 /// A remote transmitter's power at the nodes of the tile it lands in.
 PowerRow Engine::inbound_row(const InfluenceRec& rec) const {
-  const auto found = inbound_.find(
-      static_cast<std::uint64_t>(rec.origin) * n_tiles_ + rec.tile);
-  check(found != inbound_.end(), "border influence without inbound edges");
-  return power_row(found->second.first, found->second.second);
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(rec.origin) * n_tiles_ + rec.tile;
+  const auto it =
+      std::lower_bound(inbound_key_.begin(), inbound_key_.end(), key);
+  check(it != inbound_key_.end() && *it == key,
+        "border influence without inbound edges");
+  const auto k = static_cast<std::size_t>(it - inbound_key_.begin());
+  return power_row(inbound_off_[k], inbound_off_[k + 1]);
 }
 
-/// Switches one transmitter's power on or off along `row`: the
-/// running ambient sums of its receivers (the peak calibrates the
-/// clamp's rounding slack), and the interference at every ongoing
-/// reception addressed into the row. Receptions addressed to the
-/// transmitter itself lie outside its row, so they are skipped.
+/// Switches one transmitter's power on or off along `row`, one receiver
+/// at a time: its running ambient sum (the peak calibrates the clamp's
+/// rounding slack), then the interference at each ongoing reception
+/// addressed to it. Every accumulator takes one operation per call, and
+/// the ambient peak the reception clamp reads only moves when power
+/// switches on, so this visit order computes what a pass over all
+/// ambient sums followed by one over all receptions would. Receptions
+/// addressed to the transmitter itself lie outside its row.
 template <bool kOn>
 void Engine::apply_power(const PowerRow& row) {
   for (std::size_t i = 0; i < row.size; ++i) {
     const std::uint32_t m = row.rx[i];
+    const double g = row.gain_w[i];
     if constexpr (kOn) {
-      ambient_w_[m] += row.gain_w[i];
+      ambient_w_[m] += g;
       ambient_peak_w_[m] = std::max(ambient_peak_w_[m], ambient_w_[m]);
     } else {
-      subtract_clamped(ambient_w_[m], row.gain_w[i], ambient_peak_w_[m],
+      subtract_clamped(ambient_w_[m], g, ambient_peak_w_[m],
                        "ambient power went negative");
     }
-  }
-  // Insertion-order walk over the ongoing receptions.
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    Transmission& other = slots_[s];
-    if (other.dest == kNone) continue;
-    const double g = row.at(other.dest);
-    if (g <= 0.0) continue;
-    if constexpr (kOn) {
-      other.current_interference_w += g;
-      other.worst_interference_w = std::max(other.worst_interference_w,
-                                            other.current_interference_w);
-    } else {
-      // The sum was seeded from a snapshot of the destination's
-      // ambient sum, so it inherits that sum's rounding residue —
-      // scaled by the ambient's historical peak, which can dwarf this
-      // frame's own interference.
-      subtract_clamped(other.current_interference_w, g,
-                       std::max(other.worst_interference_w,
-                                ambient_peak_w_[other.dest]),
-                       "reception interference went negative");
+    for (std::uint32_t s = rx_head_[m]; s != kNil; s = slots_[s].next_rx) {
+      Transmission& rx = slots_[s];
+      if constexpr (kOn) {
+        rx.current_interference_w += g;
+        rx.worst_interference_w =
+            std::max(rx.worst_interference_w, rx.current_interference_w);
+      } else {
+        // The sum was seeded from a snapshot of the destination's
+        // ambient sum, so it inherits that sum's rounding residue —
+        // scaled by the ambient's historical peak, which can dwarf this
+        // frame's own interference.
+        subtract_clamped(rx.current_interference_w, g,
+                         std::max(rx.worst_interference_w,
+                                  ambient_peak_w_[m]),
+                         "reception interference went negative");
+      }
     }
   }
 }
@@ -278,7 +282,8 @@ void Engine::add_influence(double w, const InfluenceRec& rec) {
 /// transmissions never share a start or an end instant — so ambient
 /// and interference sums see the identical operation sequence in the
 /// fused and per-tile runs. Affected nodes then re-evaluate their
-/// medium ascending in one pass.
+/// medium ascending in one pass; a per-node mark keeps each node once,
+/// so only the distinct ids are sorted.
 void Engine::apply_influence(double w) {
   const auto found = influence_.find(w);
   check(found != influence_.end(), "influence records lost");
@@ -304,13 +309,19 @@ void Engine::apply_influence(double w) {
       if (rec.nav_until_s > w)
         overhear_nav(row, rec.nav_until_s, kNone, kNone, "REMOTE");
     }
-    affected_.insert(affected_.end(), row.rx, row.rx + row.size);
+    for (std::size_t i = 0; i < row.size; ++i) {
+      const std::uint32_t m = row.rx[i];
+      if (affected_mark_[m]) continue;
+      affected_mark_[m] = 1;
+      affected_.push_back(m);
+    }
   }
   std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()),
-                  affected_.end());
   const std::size_t depth = open_fire_list();
-  for (const std::uint32_t m : affected_) visit_medium(m, depth);
+  for (const std::uint32_t m : affected_) {
+    affected_mark_[m] = 0;
+    visit_medium(m, depth);
+  }
   fire(depth);
 }
 
@@ -340,12 +351,11 @@ void Engine::start_transmission(std::size_t n, std::size_t dest,
     t.worst_interference_w = t.current_interference_w;
   }
   // This transmission interferes with every other ongoing reception
-  // (it is not in the list yet), and any reception addressed to us is
-  // now lost.
+  // (it is not on a reception list yet), and any reception addressed
+  // to us is now lost.
   apply_power<true>(local_row(n));
-  for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
-    if (slots_[s].dest == n) slots_[s].rx_was_transmitting = true;
-  }
+  for (std::uint32_t s = rx_head_[n]; s != kNil; s = slots_[s].next_rx)
+    slots_[s].rx_was_transmitting = true;
   emit(obs::EventType::kTxStart, n, dest, flow, duration_s,
        frame_name(kind), t.id);
   queue_influence(n, duration_s, nav_until_s);
@@ -437,6 +447,8 @@ const LinkPerModel& Engine::model_for(const Transmission& t) const {
   return models_.front().ctrl_rev;
 }
 
+/// Takes a free slot for `t` and, when it has an addressee, puts it at
+/// the head of that node's reception list.
 std::uint32_t Engine::push_active(const Transmission& t) {
   std::uint32_t s;
   if (!free_.empty()) {
@@ -449,28 +461,22 @@ std::uint32_t Engine::push_active(const Transmission& t) {
   }
   Transmission& slot = slots_[s];
   slot.in_use = true;
-  slot.prev = tail_;
-  slot.next = kNil;
-  if (tail_ != kNil) {
-    slots_[tail_].next = s;
-  } else {
-    head_ = s;
+  slot.next_rx = kNil;
+  if (slot.dest != kNone) {
+    slot.next_rx = rx_head_[slot.dest];
+    rx_head_[slot.dest] = s;
   }
-  tail_ = s;
   return s;
 }
 
+/// Frees slot `s`, first taking it off its addressee's reception list
+/// (a few entries long: the frames in flight to one node).
 void Engine::unlink(std::uint32_t s) {
   Transmission& t = slots_[s];
-  if (t.prev != kNil) {
-    slots_[t.prev].next = t.next;
-  } else {
-    head_ = t.next;
-  }
-  if (t.next != kNil) {
-    slots_[t.next].prev = t.prev;
-  } else {
-    tail_ = t.prev;
+  if (t.dest != kNone) {
+    std::uint32_t* link = &rx_head_[t.dest];
+    while (*link != s) link = &slots_[*link].next_rx;
+    *link = t.next_rx;
   }
   t.in_use = false;
   free_.push_back(s);
