@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
-#include <tuple>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -115,11 +114,11 @@ Engine::Engine(const NetworkConfig& config,
     edges += plan.row_offset[g + 1] - plan.row_offset[g];
   row_nbr_.reserve(edges);
   row_gain_.reserve(edges);
-  // Inbound edges as (row key, local receiver, gain); the key is
-  // origin global id * n_tiles + this tile, as inbound_row computes it.
+  // Inbound edges, appended in ascending local receiver order.
   struct InboundEdge {
-    std::uint64_t key;
-    std::uint32_t rx;
+    std::uint32_t origin;  // global id of the remote transmitter
+    std::uint32_t tile;    // the receiver's tile
+    std::uint32_t rx;      // local receiver
     double gain_w;
   };
   std::vector<InboundEdge> inbound;
@@ -143,10 +142,8 @@ Engine::Engine(const NetworkConfig& config,
         // Outbound: l's transmissions influence nbr_tile. Inbound:
         // nbr_g's transmissions deposit power at l.
         out_scratch.push_back(nbr_tile);
-        inbound.push_back(
-            {static_cast<std::uint64_t>(nbr_g) * n_tiles_ + my_tile,
-             static_cast<std::uint32_t>(l),
-             gain_w(nbr_g, static_cast<std::uint32_t>(g))});
+        inbound.push_back({nbr_g, my_tile, static_cast<std::uint32_t>(l),
+                           gain_w(nbr_g, static_cast<std::uint32_t>(g))});
       }
     }
     std::sort(out_scratch.begin(), out_scratch.end());
@@ -161,15 +158,25 @@ Engine::Engine(const NetworkConfig& config,
   std::sort(peer_tiles_.begin(), peer_tiles_.end());
   peer_tiles_.erase(std::unique(peer_tiles_.begin(), peer_tiles_.end()),
                     peer_tiles_.end());
-  // Inbound rows follow the local ones in key order, each ascending by
-  // receiver, so inbound_row finds a row by binary search on its key.
-  std::sort(inbound.begin(), inbound.end(),
-            [](const InboundEdge& a, const InboundEdge& b) {
-              return std::tie(a.key, a.rx) < std::tie(b.key, b.rx);
-            });
+  // Inbound rows follow the local ones in key order (origin, then
+  // tile), so inbound_row finds a row by binary search on its key. Two
+  // stable counting passes, by tile and then by origin, put them there
+  // in linear time and keep each row's receivers ascending.
+  auto counting_pass = [&inbound](std::size_t buckets, auto bucket_of) {
+    std::vector<std::size_t> at(buckets + 1, 0);
+    for (const InboundEdge& e : inbound) ++at[bucket_of(e) + 1];
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    std::vector<InboundEdge> sorted(inbound.size());
+    for (const InboundEdge& e : inbound) sorted[at[bucket_of(e)]++] = e;
+    inbound.swap(sorted);
+  };
+  counting_pass(n_tiles_, [](const InboundEdge& e) { return e.tile; });
+  counting_pass(nodes.size(), [](const InboundEdge& e) { return e.origin; });
   for (const InboundEdge& e : inbound) {
-    if (inbound_key_.empty() || inbound_key_.back() != e.key) {
-      inbound_key_.push_back(e.key);
+    const std::uint64_t key =
+        static_cast<std::uint64_t>(e.origin) * n_tiles_ + e.tile;
+    if (inbound_key_.empty() || inbound_key_.back() != key) {
+      inbound_key_.push_back(key);
       inbound_off_.push_back(row_nbr_.size());
     }
     row_nbr_.push_back(e.rx);
