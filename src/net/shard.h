@@ -12,7 +12,12 @@
 //     `cutoff_margin_db`. A pair of nodes is *coupled* when either
 //     direction's deterministic received power (tx power minus dual-
 //     slope path loss, before shadowing) still clears that cutoff.
-//     Everything below it is treated as exactly zero.
+//     Everything below it is treated as exactly zero. A pair is first
+//     rejected by distance alone: when its computed squared distance
+//     exceeds the squared cutoff radius, it is uncoupled, even if only
+//     rounding puts it past the radius and its power would still clear
+//     the cutoff. Such a pair lies at the radius, about
+//     `cutoff_margin_db` under the weakest threshold.
 //  2. Tiling. One counting sort bins the nodes into a flat grid of
 //     square cells over their bounding box. The cell edge is the cutoff
 //     radius (the distance at which the strongest transmitter decays
