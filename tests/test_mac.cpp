@@ -216,6 +216,108 @@ TEST(Dcf, AmpduLossesAreRetriedNotSwallowed) {
                                        r.pending_frames));
 }
 
+// Exact outputs of six seeded runs spanning every PHY generation, RTS/CTS,
+// channel errors, A-MPDU and n = 1 ... 40. A change to the contention loop
+// that claims to leave plain DCF untouched must keep every field.
+struct PinnedCase {
+  const char* name;
+  PhyGeneration generation;
+  double data_rate_mbps;
+  double basic_rate_mbps;
+  std::size_t n_stations;
+  std::size_t payload_bytes;
+  bool rts_cts;
+  double packet_error_rate;
+  std::size_t ampdu_frames;
+  std::size_t n_ss;
+  bool short_gi;
+  unsigned retry_limit;
+  double duration_s;
+  std::uint64_t seed;
+  DcfResult expected;
+};
+
+DcfConfig pinned_config(const PinnedCase& c) {
+  DcfConfig cfg;
+  cfg.generation = c.generation;
+  cfg.data_rate_mbps = c.data_rate_mbps;
+  cfg.basic_rate_mbps = c.basic_rate_mbps;
+  cfg.n_stations = c.n_stations;
+  cfg.payload_bytes = c.payload_bytes;
+  cfg.rts_cts = c.rts_cts;
+  cfg.packet_error_rate = c.packet_error_rate;
+  cfg.ampdu_frames = c.ampdu_frames;
+  cfg.n_ss = c.n_ss;
+  cfg.short_gi = c.short_gi;
+  cfg.retry_limit = c.retry_limit;
+  cfg.duration_s = c.duration_s;
+  return cfg;
+}
+
+DcfResult pinned(double throughput_mbps, double collision_probability,
+                 double mean_access_delay_s, double busy_airtime_fraction,
+                 std::uint64_t delivered, std::uint64_t attempts,
+                 std::uint64_t collisions, std::uint64_t dropped,
+                 std::uint64_t offered, std::uint64_t pending) {
+  DcfResult r;
+  r.throughput_mbps = throughput_mbps;
+  r.collision_probability = collision_probability;
+  r.mean_access_delay_s = mean_access_delay_s;
+  r.busy_airtime_fraction = busy_airtime_fraction;
+  r.delivered_frames = delivered;
+  r.attempts = attempts;
+  r.collisions = collisions;
+  r.dropped = dropped;
+  r.offered_frames = offered;
+  r.pending_frames = pending;
+  return r;
+}
+
+TEST(Dcf, PinnedOutputs) {
+  const PinnedCase cases[] = {
+      {"DSSS n=5", PhyGeneration::kDsss, 2.0, 1.0, 5, 1500, false, 0.0, 1, 1,
+       false, 7, 2.0, 101,
+       pinned(1.5589414787359499, 0.21921921921921922, 0.037913669230768943,
+              0.98619437402004062, 260, 333, 73, 0, 262, 2)},
+      {"OFDM n=10 PER 0.1", PhyGeneration::kOfdm, 54.0, 24.0, 10, 1500, false,
+       0.1, 1, 1, false, 7, 1.0, 102,
+       pinned(25.134520674491167, 0.33780313837375181, 0.0044913465393797919,
+              0.93802351087462077, 2095, 3505, 1184, 1, 2105, 9)},
+      {"HT A-MPDU 16 PER 0.3", PhyGeneration::kHt, 300.0, 24.0, 2, 1500,
+       false, 0.3, 16, 2, true, 7, 1.0, 103,
+       pinned(154.67021520759607, 0.10827532869296211, 0.0017345559410234439,
+              0.95016061999236978, 12894, 1293, 140, 4, 12909, 11)},
+      {"RTS/CTS n=40", PhyGeneration::kOfdm, 54.0, 24.0, 40, 2000, true, 0.0,
+       1, 1, false, 7, 1.0, 104,
+       pinned(27.867847690693431, 0.58365200764818359, 0.018238428243398754,
+              0.96187468067256565, 1742, 4184, 2442, 13, 1792, 37)},
+      {"n=1 PER 0.3", PhyGeneration::kOfdm, 54.0, 24.0, 1, 1500, false, 0.3, 1,
+       1, false, 4, 1.0, 105,
+       pinned(19.233153493282135, 0.0, 0.00061446537741736897,
+              0.74479976963409045, 1603, 2285, 0, 4, 1607, 0)},
+      {"n=25", PhyGeneration::kOfdm, 54.0, 24.0, 25, 1500, false, 0.0, 1, 1,
+       false, 7, 1.0, 106,
+       pinned(24.320035834157245, 0.50585080448561681, 0.010168588061174795,
+              0.95404649042205192, 2027, 4102, 2075, 7, 2055, 21)},
+  };
+  for (const PinnedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng rng(c.seed);
+    const DcfResult r = simulate_dcf(pinned_config(c), rng);
+    const DcfResult& e = c.expected;
+    EXPECT_EQ(r.delivered_frames, e.delivered_frames);
+    EXPECT_EQ(r.attempts, e.attempts);
+    EXPECT_EQ(r.collisions, e.collisions);
+    EXPECT_EQ(r.dropped, e.dropped);
+    EXPECT_EQ(r.offered_frames, e.offered_frames);
+    EXPECT_EQ(r.pending_frames, e.pending_frames);
+    EXPECT_DOUBLE_EQ(r.throughput_mbps, e.throughput_mbps);
+    EXPECT_DOUBLE_EQ(r.collision_probability, e.collision_probability);
+    EXPECT_DOUBLE_EQ(r.mean_access_delay_s, e.mean_access_delay_s);
+    EXPECT_DOUBLE_EQ(r.busy_airtime_fraction, e.busy_airtime_fraction);
+  }
+}
+
 TEST(Dcf, BusyAirtimeFractionSaneAndSaturated) {
   Rng rng(9);
   DcfConfig cfg;
