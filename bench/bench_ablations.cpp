@@ -10,7 +10,6 @@
 #include "bench_util.h"
 #include "common/bits.h"
 #include "core/wlan.h"
-#include "mac/edca.h"
 
 int main(int argc, char** argv) {
   using namespace wlan;
@@ -95,9 +94,11 @@ int main(int argc, char** argv) {
   bu::section("EDCA priorities (saturated: 1 voice + 1 video + 4 best effort)");
   {
     Rng r(77);
-    mac::EdcaConfig cfg;
+    mac::DcfConfig cfg;
+    cfg.data_rate_mbps = 24.0;
+    cfg.basic_rate_mbps = 6.0;
     cfg.duration_s = 3.0;
-    std::vector<mac::EdcaStation> stations = {
+    cfg.stations = {
         {mac::AccessCategory::kVoice, 200},
         {mac::AccessCategory::kVideo, 1000},
         {mac::AccessCategory::kBestEffort, 1000},
@@ -105,11 +106,11 @@ int main(int argc, char** argv) {
         {mac::AccessCategory::kBestEffort, 1000},
         {mac::AccessCategory::kBestEffort, 1000},
     };
-    const auto res = mac::simulate_edca(cfg, stations, r);
+    const auto res = mac::simulate_dcf(cfg, r);
     const char* names[] = {"voice", "video", "best effort", "best effort",
                            "best effort", "best effort"};
     std::printf("%14s %14s %16s\n", "category", "throughput", "access delay");
-    for (std::size_t i = 0; i < stations.size(); ++i) {
+    for (std::size_t i = 0; i < cfg.stations.size(); ++i) {
       std::printf("%14s %11.2f M %13.2f ms\n", names[i],
                   res.stations[i].throughput_mbps,
                   res.stations[i].mean_access_delay_s * 1e3);

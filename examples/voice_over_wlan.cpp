@@ -20,21 +20,21 @@ int main() {
               "DCF voice Mb", "EDCA voice dly", "EDCA voice Mb");
 
   for (const int n_bulk : {1, 2, 4, 8}) {
-    // "DCF": voice contends as best effort, same parameters as the bulk.
-    mac::EdcaConfig cfg;
+    // Plain DCF: voice contends with the same parameters as the bulk.
+    mac::DcfConfig cfg;
+    cfg.data_rate_mbps = 24.0;
+    cfg.basic_rate_mbps = 6.0;
     cfg.duration_s = 4.0;
-    std::vector<mac::EdcaStation> dcf;
-    dcf.push_back({AccessCategory::kBestEffort, 160});  // G.711-ish frames
-    for (int i = 0; i < n_bulk; ++i) {
-      dcf.push_back({AccessCategory::kBestEffort, 1500});
-    }
+    cfg.stations.assign(1, {AccessCategory::kDcf, 160});  // G.711-ish frames
+    cfg.stations.resize(1 + n_bulk, {AccessCategory::kDcf, 1500});
     Rng r1(42);
-    const auto plain = mac::simulate_edca(cfg, dcf, r1);
+    const auto plain = mac::simulate_dcf(cfg, r1);
 
-    std::vector<mac::EdcaStation> edca = dcf;
-    edca[0].category = AccessCategory::kVoice;
+    // EDCA: the voice queue is AC_VO, the bulk transfers AC_BE.
+    for (auto& s : cfg.stations) s.category = AccessCategory::kBestEffort;
+    cfg.stations[0].category = AccessCategory::kVoice;
     Rng r2(42);
-    const auto prio = mac::simulate_edca(cfg, edca, r2);
+    const auto prio = mac::simulate_dcf(cfg, r2);
 
     std::printf("%8d | %11.1f ms %12.2f | %11.1f ms %12.2f\n", n_bulk,
                 plain.stations[0].mean_access_delay_s * 1e3,

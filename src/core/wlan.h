@@ -21,7 +21,6 @@
 #include "mac/dcf.h"             // IWYU pragma: export
 #include "mac/psm.h"             // IWYU pragma: export
 #include "dsp/spectrum.h"        // IWYU pragma: export
-#include "mac/edca.h"            // IWYU pragma: export
 #include "mac/frames.h"          // IWYU pragma: export
 #include "mac/rate_adapt.h"      // IWYU pragma: export
 #include "mesh/mesh.h"           // IWYU pragma: export

@@ -7,6 +7,10 @@
 // throughput from slot-type probabilities and durations. This module
 // implements the model so the slotted simulator (mac/dcf.h) and the
 // event-driven simulator (net/netsim.h) can be validated against theory.
+// Its slot durations are the slotted loop's for plain DCF stations
+// (non-HT, no A-MPDU): T_s is [RTS + SIFS + CTS + SIFS +] data + SIFS +
+// ACK + DIFS, and T_c is the colliding PPDU (or the RTS) plus
+// EIFS = SIFS + ACK + DIFS.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,8 @@
 // Event-driven multi-node 802.11 network simulator.
 //
-// Where mac::simulate_dcf models a single collision domain analytically
-// (every station hears every other), this simulator places nodes on a
-// plane and derives carrier sense, collisions, and capture from physics:
+// Where mac::simulate_dcf simulates a single collision domain slot by
+// slot (every station hears every other), this simulator places nodes on
+// a plane and derives carrier sense, collisions, and capture from physics:
 //
 //  - physical carrier sense: a node defers while the total received
 //    power at ITS location exceeds its CS threshold — distant stations

@@ -74,7 +74,7 @@ TEST_P(BianchiVsSimulator, ThroughputAgreesWithin20Percent) {
   const auto model = bianchi_saturation(input);
 
   DcfConfig cfg;
-  cfg.n_stations = n;
+  cfg.stations.resize(n);
   cfg.data_rate_mbps = 54.0;
   cfg.duration_s = 3.0;
   Rng rng(100 + n);
@@ -93,7 +93,7 @@ TEST_P(BianchiVsSimulator, CollisionProbabilityAgrees) {
   const auto model = bianchi_saturation(input);
 
   DcfConfig cfg;
-  cfg.n_stations = n;
+  cfg.stations.resize(n);
   cfg.duration_s = 3.0;
   Rng rng(200 + n);
   const auto sim = simulate_dcf(cfg, rng);

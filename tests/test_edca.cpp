@@ -1,18 +1,29 @@
-// Tests for 802.11e EDCA prioritized access.
+// Tests for 802.11e EDCA prioritized access in the slotted contention model.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "mac/edca.h"
+#include "mac/dcf.h"
 
 namespace wlan::mac {
 namespace {
 
+// The 24/6 Mbps OFDM setup the EDCA tests were written for.
+DcfConfig edca_config() {
+  DcfConfig cfg;
+  cfg.data_rate_mbps = 24.0;
+  cfg.basic_rate_mbps = 6.0;
+  return cfg;
+}
+
 TEST(EdcaDefaults, PrioritiesOrderedByParameters) {
-  const EdcaParams vo = edca_defaults(AccessCategory::kVoice);
-  const EdcaParams vi = edca_defaults(AccessCategory::kVideo);
-  const EdcaParams be = edca_defaults(AccessCategory::kBestEffort);
-  const EdcaParams bk = edca_defaults(AccessCategory::kBackground);
+  const PhyGeneration ofdm = PhyGeneration::kOfdm;
+  const EdcaParams vo = edca_defaults(AccessCategory::kVoice, ofdm);
+  const EdcaParams vi = edca_defaults(AccessCategory::kVideo, ofdm);
+  const EdcaParams be = edca_defaults(AccessCategory::kBestEffort, ofdm);
+  const EdcaParams bk = edca_defaults(AccessCategory::kBackground, ofdm);
   EXPECT_LT(vo.cw_min, be.cw_min);
   EXPECT_LT(vi.cw_min, be.cw_min);
   EXPECT_LE(vo.aifsn, be.aifsn);
@@ -21,23 +32,38 @@ TEST(EdcaDefaults, PrioritiesOrderedByParameters) {
   EXPECT_DOUBLE_EQ(be.txop_s, 0.0);
 }
 
+TEST(EdcaDefaults, DcfIsDifsWithThePhyContentionWindow) {
+  for (const PhyGeneration gen : {PhyGeneration::kDsss, PhyGeneration::kOfdm,
+                                  PhyGeneration::kHt}) {
+    const MacTiming t = mac_timing(gen);
+    const EdcaParams dcf = edca_defaults(AccessCategory::kDcf, gen);
+    EXPECT_EQ(dcf.aifsn, 2u);
+    EXPECT_EQ(dcf.cw_min, t.cw_min);
+    EXPECT_EQ(dcf.cw_max, t.cw_max);
+    EXPECT_DOUBLE_EQ(dcf.txop_s, 0.0);
+  }
+  EXPECT_STREQ(access_category_name(AccessCategory::kDcf), "DCF");
+}
+
 TEST(Edca, SingleStationDeliversContinuously) {
   Rng rng(1);
-  EdcaConfig cfg;
-  const auto r = simulate_edca(cfg, {{AccessCategory::kBestEffort, 1000}}, rng);
-  EXPECT_GT(r.aggregate_throughput_mbps, 10.0);
+  DcfConfig cfg = edca_config();
+  cfg.stations = {{AccessCategory::kBestEffort, 1000}};
+  const auto r = simulate_dcf(cfg, rng);
+  EXPECT_GT(r.throughput_mbps, 10.0);
   EXPECT_EQ(r.stations[0].collisions, 0u);
 }
 
 TEST(Edca, VoiceBeatsBestEffortUnderContention) {
   Rng rng(2);
-  EdcaConfig cfg;
+  DcfConfig cfg = edca_config();
   std::vector<EdcaStation> stations;
   stations.push_back({AccessCategory::kVoice, 200});
   for (int i = 0; i < 6; ++i) {
     stations.push_back({AccessCategory::kBestEffort, 1000});
   }
-  const auto r = simulate_edca(cfg, stations, rng);
+  cfg.stations = stations;
+  const auto r = simulate_dcf(cfg, rng);
   // Voice accesses the channel far faster than the best-effort crowd.
   double be_delay = 0.0;
   for (std::size_t i = 1; i < stations.size(); ++i) {
@@ -55,21 +81,20 @@ TEST(Edca, SaturatedVoiceStarvesBackground) {
   // best case (AIFSN 7), so a saturated voice queue starves background
   // completely.
   Rng rng(3);
-  EdcaConfig cfg;
-  const auto r = simulate_edca(cfg,
-                               {{AccessCategory::kVoice, 500},
-                                {AccessCategory::kBackground, 1000}},
-                               rng);
+  DcfConfig cfg = edca_config();
+  cfg.stations = {{AccessCategory::kVoice, 500},
+                  {AccessCategory::kBackground, 1000}};
+  const auto r = simulate_dcf(cfg, rng);
   EXPECT_GT(r.stations[0].delivered, 500u);
   EXPECT_EQ(r.stations[1].delivered, 0u);
 }
 
 TEST(Edca, VideoTxopBurstsRaiseItsThroughput) {
   Rng rng(3);
-  EdcaConfig cfg;
-  std::vector<EdcaStation> with_txop = {{AccessCategory::kVideo, 1000},
-                                        {AccessCategory::kBestEffort, 1000}};
-  const auto r = simulate_edca(cfg, with_txop, rng);
+  DcfConfig cfg = edca_config();
+  cfg.stations = {{AccessCategory::kVideo, 1000},
+                  {AccessCategory::kBestEffort, 1000}};
+  const auto r = simulate_dcf(cfg, rng);
   // Video has both a shorter CW and a 3 ms TXOP: it should carry clearly
   // more traffic than the best-effort peer.
   EXPECT_GT(r.stations[0].throughput_mbps,
@@ -78,9 +103,9 @@ TEST(Edca, VideoTxopBurstsRaiseItsThroughput) {
 
 TEST(Edca, EqualCategoriesShareFairly) {
   Rng rng(4);
-  EdcaConfig cfg;
-  std::vector<EdcaStation> stations(4, {AccessCategory::kBestEffort, 1000});
-  const auto r = simulate_edca(cfg, stations, rng);
+  DcfConfig cfg = edca_config();
+  cfg.stations.assign(4, {AccessCategory::kBestEffort, 1000});
+  const auto r = simulate_dcf(cfg, rng);
   double mn = 1e300;
   double mx = 0.0;
   for (const auto& s : r.stations) {
@@ -92,10 +117,10 @@ TEST(Edca, EqualCategoriesShareFairly) {
 
 TEST(Edca, CollisionsHappenBetweenPeers) {
   Rng rng(5);
-  EdcaConfig cfg;
+  DcfConfig cfg = edca_config();
   cfg.duration_s = 4.0;
-  std::vector<EdcaStation> stations(8, {AccessCategory::kBestEffort, 500});
-  const auto r = simulate_edca(cfg, stations, rng);
+  cfg.stations.assign(8, {AccessCategory::kBestEffort, 500});
+  const auto r = simulate_dcf(cfg, rng);
   std::uint64_t collisions = 0;
   for (const auto& s : r.stations) collisions += s.collisions;
   EXPECT_GT(collisions, 20u);
@@ -103,23 +128,24 @@ TEST(Edca, CollisionsHappenBetweenPeers) {
 
 TEST(Edca, AggregateMatchesSumOfStations) {
   Rng rng(6);
-  EdcaConfig cfg;
-  std::vector<EdcaStation> stations = {{AccessCategory::kVoice, 200},
-                                       {AccessCategory::kVideo, 1000},
-                                       {AccessCategory::kBestEffort, 1000}};
-  const auto r = simulate_edca(cfg, stations, rng);
+  DcfConfig cfg = edca_config();
+  cfg.stations = {{AccessCategory::kVoice, 200},
+                  {AccessCategory::kVideo, 1000},
+                  {AccessCategory::kBestEffort, 1000}};
+  const auto r = simulate_dcf(cfg, rng);
   double sum = 0.0;
   for (const auto& s : r.stations) sum += s.throughput_mbps;
-  EXPECT_NEAR(r.aggregate_throughput_mbps, sum, 1e-9);
+  EXPECT_NEAR(r.throughput_mbps, sum, 1e-9);
 }
 
 TEST(Edca, Validation) {
   Rng rng(7);
-  EdcaConfig cfg;
-  EXPECT_THROW(simulate_edca(cfg, {}, rng), ContractError);
+  DcfConfig cfg = edca_config();
+  cfg.stations.clear();
+  EXPECT_THROW(simulate_dcf(cfg, rng), ContractError);
   cfg.duration_s = 0.0;
-  EXPECT_THROW(simulate_edca(cfg, {{AccessCategory::kVoice, 100}}, rng),
-               ContractError);
+  cfg.stations = {{AccessCategory::kVoice, 100}};
+  EXPECT_THROW(simulate_dcf(cfg, rng), ContractError);
 }
 
 }  // namespace

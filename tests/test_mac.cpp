@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -54,7 +55,7 @@ TEST(Timing, ControlFrameUsesLegacyOfdm) {
 
 TEST(Dcf, SingleStationMatchesAnalyticBound) {
   DcfConfig cfg;
-  cfg.n_stations = 1;
+  cfg.stations.resize(1);
   cfg.duration_s = 4.0;
   Rng rng(1);
   const DcfResult r = simulate_dcf(cfg, rng);
@@ -68,7 +69,7 @@ TEST(Dcf, MacEfficiencyWellBelowPhyRate) {
   // The classic result: 54 Mbps PHY yields roughly 25-30 Mbps of MAC
   // goodput for 1500-byte frames.
   DcfConfig cfg;
-  cfg.n_stations = 1;
+  cfg.stations.resize(1);
   cfg.duration_s = 4.0;
   Rng rng(2);
   const DcfResult r = simulate_dcf(cfg, rng);
@@ -81,7 +82,7 @@ TEST(Dcf, CollisionProbabilityGrowsWithStations) {
   double prev = 0.0;
   for (const std::size_t n : {2u, 5u, 15u, 40u}) {
     DcfConfig cfg;
-    cfg.n_stations = n;
+    cfg.stations.resize(n);
     cfg.duration_s = 2.0;
     const DcfResult r = simulate_dcf(cfg, rng);
     EXPECT_GT(r.collision_probability, prev);
@@ -93,10 +94,10 @@ TEST(Dcf, CollisionProbabilityGrowsWithStations) {
 TEST(Dcf, AggregateThroughputDegradesGracefully) {
   Rng rng(4);
   DcfConfig one;
-  one.n_stations = 1;
+  one.stations.resize(1);
   one.duration_s = 2.0;
   DcfConfig many = one;
-  many.n_stations = 30;
+  many.stations.resize(30);
   const double t1 = simulate_dcf(one, rng).throughput_mbps;
   const double t30 = simulate_dcf(many, rng).throughput_mbps;
   EXPECT_LT(t30, t1);
@@ -106,8 +107,7 @@ TEST(Dcf, AggregateThroughputDegradesGracefully) {
 TEST(Dcf, RtsCtsHelpsWhenCollisionsAreExpensive) {
   Rng rng(5);
   DcfConfig base;
-  base.n_stations = 40;
-  base.payload_bytes = 2000;
+  base.stations.assign(40, {AccessCategory::kDcf, 2000});
   base.duration_s = 2.0;
   DcfConfig rts = base;
   rts.rts_cts = true;
@@ -121,7 +121,7 @@ TEST(Dcf, RtsCtsHelpsWhenCollisionsAreExpensive) {
 TEST(Dcf, PacketErrorsReduceThroughputAndCauseRetries) {
   Rng rng(6);
   DcfConfig clean;
-  clean.n_stations = 1;
+  clean.stations.resize(1);
   clean.duration_s = 2.0;
   DcfConfig lossy = clean;
   lossy.packet_error_rate = 0.3;
@@ -133,7 +133,7 @@ TEST(Dcf, PacketErrorsReduceThroughputAndCauseRetries) {
 TEST(Dcf, HeavyLossCausesDrops) {
   Rng rng(7);
   DcfConfig cfg;
-  cfg.n_stations = 1;
+  cfg.stations.resize(1);
   cfg.packet_error_rate = 0.95;
   cfg.retry_limit = 4;
   cfg.duration_s = 2.0;
@@ -150,7 +150,7 @@ TEST(Dcf, AmpduAggregationRecoversMacEfficiency) {
   single.data_rate_mbps = 300.0;
   single.n_ss = 2;
   single.short_gi = true;
-  single.n_stations = 1;
+  single.stations.resize(1);
   single.duration_s = 2.0;
   DcfConfig aggregated = single;
   aggregated.ampdu_frames = 16;
@@ -164,26 +164,37 @@ TEST(Dcf, AmpduPartialLossConservesFrames) {
   // Regression: MPDUs lost inside a partially-delivered A-MPDU used to
   // vanish — neither retried nor counted as dropped. Every offered MPDU
   // must end up delivered, dropped, or still pending.
-  for (const double per : {0.0, 0.1, 0.3, 0.6, 0.95}) {
-    for (const std::size_t ampdu : {std::size_t{1}, std::size_t{8},
-                                    std::size_t{16}}) {
-      Rng rng(77);
-      DcfConfig cfg;
-      cfg.generation = PhyGeneration::kHt;
-      cfg.data_rate_mbps = 300.0;
-      cfg.n_ss = 2;
-      cfg.n_stations = 2;
-      cfg.ampdu_frames = ampdu;
-      cfg.packet_error_rate = per;
-      cfg.retry_limit = 4;
-      cfg.duration_s = 1.0;
-      const DcfResult r = simulate_dcf(cfg, rng);
-      EXPECT_EQ(r.offered_frames,
-                r.delivered_frames + r.dropped + r.pending_frames)
-          << "per=" << per << " ampdu=" << ampdu;
-      if (per > 0.0 && ampdu > 1) {
-        // The partial-loss regime actually exercises retransmission.
-        EXPECT_GT(r.delivered_frames, 0u);
+  // Station mixes: two DCF peers; voice, video (both with TXOP bursts)
+  // and best effort; DCF beside background.
+  const std::vector<std::vector<EdcaStation>> mixes = {
+      std::vector<EdcaStation>(2),
+      {{AccessCategory::kVoice, 200},
+       {AccessCategory::kVideo, 1000},
+       {AccessCategory::kBestEffort, 1000}},
+      {{AccessCategory::kDcf, 1500}, {AccessCategory::kBackground, 1500}},
+  };
+  for (std::size_t mix = 0; mix < mixes.size(); ++mix) {
+    for (const double per : {0.0, 0.1, 0.3, 0.6, 0.95}) {
+      for (const std::size_t ampdu : {std::size_t{1}, std::size_t{8},
+                                      std::size_t{16}}) {
+        Rng rng(77);
+        DcfConfig cfg;
+        cfg.generation = PhyGeneration::kHt;
+        cfg.data_rate_mbps = 300.0;
+        cfg.n_ss = 2;
+        cfg.stations = mixes[mix];
+        cfg.ampdu_frames = ampdu;
+        cfg.packet_error_rate = per;
+        cfg.retry_limit = 4;
+        cfg.duration_s = 1.0;
+        const DcfResult r = simulate_dcf(cfg, rng);
+        EXPECT_EQ(r.offered_frames,
+                  r.delivered_frames + r.dropped + r.pending_frames)
+            << "mix=" << mix << " per=" << per << " ampdu=" << ampdu;
+        if (per > 0.0 && ampdu > 1) {
+          // The partial-loss regime actually exercises retransmission.
+          EXPECT_GT(r.delivered_frames, 0u);
+        }
       }
     }
   }
@@ -200,7 +211,7 @@ TEST(Dcf, AmpduLossesAreRetriedNotSwallowed) {
   cfg.generation = PhyGeneration::kHt;
   cfg.data_rate_mbps = 300.0;
   cfg.n_ss = 2;
-  cfg.n_stations = 1;
+  cfg.stations.resize(1);
   cfg.ampdu_frames = 16;
   cfg.packet_error_rate = 0.3;
   cfg.retry_limit = 7;
@@ -242,8 +253,7 @@ DcfConfig pinned_config(const PinnedCase& c) {
   cfg.generation = c.generation;
   cfg.data_rate_mbps = c.data_rate_mbps;
   cfg.basic_rate_mbps = c.basic_rate_mbps;
-  cfg.n_stations = c.n_stations;
-  cfg.payload_bytes = c.payload_bytes;
+  cfg.stations.assign(c.n_stations, {AccessCategory::kDcf, c.payload_bytes});
   cfg.rts_cts = c.rts_cts;
   cfg.packet_error_rate = c.packet_error_rate;
   cfg.ampdu_frames = c.ampdu_frames;
@@ -321,7 +331,7 @@ TEST(Dcf, PinnedOutputs) {
 TEST(Dcf, BusyAirtimeFractionSaneAndSaturated) {
   Rng rng(9);
   DcfConfig cfg;
-  cfg.n_stations = 10;
+  cfg.stations.resize(10);
   cfg.duration_s = 1.0;
   const DcfResult r = simulate_dcf(cfg, rng);
   EXPECT_GT(r.busy_airtime_fraction, 0.7);
