@@ -1,6 +1,5 @@
 #include "sim/scheduler.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -9,48 +8,116 @@ namespace wlan::sim {
 
 namespace {
 
-// Heap comparator: true when `a` runs after `b`, so the heap's front is
-// the next event to run.
-struct Later {
-  bool operator()(const Scheduler::Event& a, const Scheduler::Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.seq > b.seq;
-  }
-};
+// True when `a` runs before `b`.
+bool runs_before(const Scheduler::Key& a, const Scheduler::Key& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.order < b.order;
+}
+
+constexpr std::uint64_t kUrgent = 0;
+constexpr std::uint64_t kNormal = 1;
 
 }  // namespace
 
-void Scheduler::push(double time, int priority, Action action) {
-  heap_.push_back(Event{time, priority, next_seq_++, action});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+// Both sifts move a hole instead of swapping, and record each moved
+// key's new index in its slot so cancel() can find it.
+void Scheduler::sift_up(std::size_t pos, Key key) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!runs_before(key, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    slab_[heap_[pos].slot].pos = static_cast<std::uint32_t>(pos);
+    pos = parent;
+  }
+  heap_[pos] = key;
+  slab_[key.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
-void Scheduler::schedule(double delay, Action action) {
+void Scheduler::sift_down(std::size_t pos, Key key) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && runs_before(heap_[child + 1], heap_[child])) ++child;
+    if (!runs_before(heap_[child], key)) break;
+    heap_[pos] = heap_[child];
+    slab_[heap_[pos].slot].pos = static_cast<std::uint32_t>(pos);
+    pos = child;
+  }
+  heap_[pos] = key;
+  slab_[key.slot].pos = static_cast<std::uint32_t>(pos);
+}
+
+// Removes the key at heap index `pos`: the last key fills the hole and
+// sifts whichever way restores the heap.
+void Scheduler::remove_at(std::size_t pos) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  if (pos > 0 && runs_before(last, heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
+}
+
+Scheduler::Handle Scheduler::push(double time, std::uint64_t priority,
+                                  Action action) {
+  std::uint32_t slot;
+  if (free_.empty()) {
+    check(slab_.size() < kNoSlot, "Scheduler: too many pending events");
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(Slot{action, kNoSlot});
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot].action = action;
+  }
+  const Key key{time, priority << 63 | next_seq_++, slot};
+  heap_.push_back(key);
+  sift_up(heap_.size() - 1, key);
+  return Handle(key.order, slot);
+}
+
+Scheduler::Handle Scheduler::schedule(double delay, Action action) {
   check(delay >= 0.0, "Scheduler::schedule requires non-negative delay");
-  push(now_ + delay, 1, action);
+  return push(now_ + delay, kNormal, action);
 }
 
-void Scheduler::schedule_at(double time, Action action) {
+Scheduler::Handle Scheduler::schedule_at(double time, Action action) {
   check(time >= now_, "Scheduler::schedule_at requires a future time");
-  push(time, 1, action);
+  return push(time, kNormal, action);
 }
 
-void Scheduler::schedule_at_urgent(double time, Action action) {
+Scheduler::Handle Scheduler::schedule_at_urgent(double time, Action action) {
   check(time >= now_, "Scheduler::schedule_at_urgent requires a future time");
-  push(time, 0, action);
+  return push(time, kUrgent, action);
+}
+
+void Scheduler::cancel(Handle h) {
+  if (h.slot_ >= slab_.size()) return;
+  const std::uint32_t pos = slab_[h.slot_].pos;
+  // A free slot, or one reused by a later event, no longer holds h's key.
+  if (pos == kNoSlot || heap_[pos].order != h.order_) return;
+  slab_[h.slot_].pos = kNoSlot;
+  free_.push_back(h.slot_);
+  remove_at(pos);
 }
 
 template <class Before>
 std::size_t Scheduler::drain(Before before) {
   std::size_t executed = 0;
   while (!heap_.empty() && before(heap_.front().time)) {
-    // Pop by value before running: the action may schedule more events.
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = heap_.back();
-    heap_.pop_back();
-    now_ = ev.time;
-    ev.action();
+    // Copy the action out and free its slot before running it: the
+    // action may schedule (and reuse the slot) or cancel.
+    const Key top = heap_.front();
+    Slot& slot = slab_[top.slot];
+    const Action action = slot.action;
+    slot.pos = kNoSlot;
+    free_.push_back(top.slot);
+    remove_at(0);
+    now_ = top.time;
+    action();
     ++executed;
     after_event();
   }

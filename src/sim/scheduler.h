@@ -7,8 +7,13 @@
 // before any local event at the same instant, in every execution mode,
 // so fused and per-shard runs order same-time work identically.
 //
-// The queue never allocates per event: an Action stores its callable
-// inline, and events are plain 64-byte values in a binary heap.
+// A pending event can be withdrawn with cancel(): a protocol timer that
+// a later event supersedes leaves the queue instead of running stale.
+//
+// The queue allocates only when it grows past its largest pending
+// count: an Action stores its callable inline in a slab slot, freed
+// slots are reused, and the binary heap holds 24-byte keys that name
+// their slot.
 #pragma once
 
 #include <array>
@@ -30,9 +35,9 @@ class Scheduler {
   /// A scheduled callable, stored inline: one function pointer plus
   /// kCapacity bytes. It accepts any trivially copyable callable of at
   /// most kCapacity bytes — in practice a lambda capturing `this`,
-  /// indices, versions and doubles by value. Anything else (a
-  /// std::function, a capture that owns memory such as a vector or
-  /// string) fails to compile, so scheduling never heap-allocates.
+  /// indices and doubles by value. Anything else (a std::function, a
+  /// capture that owns memory such as a vector or string) fails to
+  /// compile, so scheduling never heap-allocates.
   /// Captured references and pointers must outlive the event. To
   /// reschedule a std::function (e.g. a self-rescheduling handler),
   /// capture a reference to it: `sched.schedule(d, [&tick] { tick(); })`.
@@ -65,6 +70,21 @@ class Scheduler {
     unsigned char storage_[kCapacity];
   };
 
+  /// Names one scheduled event for cancel(). A default-constructed
+  /// handle names no event. Handles stay safe to cancel after their
+  /// event ran or was cancelled: the slot's key order no longer matches.
+  class Handle {
+   public:
+    Handle() = default;
+
+   private:
+    friend class Scheduler;
+    Handle(std::uint64_t order, std::uint32_t slot)
+        : order_(order), slot_(slot) {}
+    std::uint64_t order_ = 0;
+    std::uint32_t slot_ = kNoSlot;
+  };
+
   /// Observer invoked after each executed event with the event's time and
   /// the queue depth remaining after it ran.
   using EventHook = std::function<void(double time, std::size_t pending)>;
@@ -73,15 +93,20 @@ class Scheduler {
   double now() const { return now_; }
 
   /// Schedules an action `delay` seconds from now (delay >= 0).
-  void schedule(double delay, Action action);
+  Handle schedule(double delay, Action action);
 
   /// Schedules an action at an absolute time (>= now()).
-  void schedule_at(double time, Action action);
+  Handle schedule_at(double time, Action action);
 
   /// Schedules an urgent action at an absolute time (>= now()). Urgent
   /// actions run before every normally scheduled action at the same
   /// timestamp (still FIFO among themselves).
-  void schedule_at_urgent(double time, Action action);
+  Handle schedule_at_urgent(double time, Action action);
+
+  /// Removes the event `h` names from the queue. A no-op when that
+  /// event already ran (the running event included) or was already
+  /// cancelled. The remaining events keep their relative order.
+  void cancel(Handle h);
 
   /// Runs events until the queue is empty or the clock passes `end_time`.
   /// Returns the number of events executed.
@@ -116,17 +141,30 @@ class Scheduler {
   /// must outlive the scheduler's runs.
   void bind_metrics(obs::Registry& registry);
 
-  /// One queued event. Ordered by (time, urgent first, seq): seq is
-  /// unique, so the order is total and independent of heap layout.
-  struct Event {
+  /// One heap entry. Ordered by (time, order), where order is
+  /// `priority << 63 | seq` (priority 0 = urgent, 1 = normal; seq counts
+  /// schedule calls). seq is unique, so the order is total and
+  /// independent of heap layout. `slot` names the action's slab slot.
+  struct Key {
     double time;
-    int priority;  // 0 = urgent, 1 = normal; urgent first at equal time.
-    std::uint64_t seq;
-    Action action;
+    std::uint64_t order;
+    std::uint32_t slot;
   };
 
  private:
-  void push(double time, int priority, Action action);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// A slab slot: the action and its key's heap index (kNoSlot while
+  /// the slot is free).
+  struct Slot {
+    Action action;
+    std::uint32_t pos;
+  };
+
+  Handle push(double time, std::uint64_t priority, Action action);
+  void sift_up(std::size_t pos, Key key);
+  void sift_down(std::size_t pos, Key key);
+  void remove_at(std::size_t pos);
   template <class Before>
   std::size_t drain(Before before);
   void after_event();
@@ -134,14 +172,16 @@ class Scheduler {
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::vector<Event> heap_;  // max-heap under "runs later"
+  std::vector<Key> heap_;  // min-heap on (time, order)
+  std::vector<Slot> slab_;
+  std::vector<std::uint32_t> free_;  // free slab slots, reused LIFO
   EventHook hook_;
   obs::Counter* executed_counter_ = nullptr;
   obs::Histogram* queue_depth_hist_ = nullptr;
 };
 
 static_assert(std::is_trivially_copyable_v<Scheduler::Action>);
-static_assert(std::is_trivially_copyable_v<Scheduler::Event>);
-static_assert(sizeof(Scheduler::Event) == 64);
+static_assert(std::is_trivially_copyable_v<Scheduler::Key>);
+static_assert(sizeof(Scheduler::Key) == 24);
 
 }  // namespace wlan::sim
