@@ -201,7 +201,7 @@ Engine::Engine(const NetworkConfig& config,
   slots_remaining_.assign(n_, 0);
   counting_.assign(n_, 0);
   count_start_s_.assign(n_, 0.0);
-  timer_version_.assign(n_, 0);
+  backoff_timer_.assign(n_, {});
   busy_prev_.assign(n_, 0);
   nav_until_.assign(n_, 0.0);
   nav_armed_.assign(n_, 0);
@@ -209,7 +209,7 @@ Engine::Engine(const NetworkConfig& config,
   ambient_peak_w_.assign(n_, 0.0);
   transmitting_.assign(n_, 0);
   waiting_.assign(n_, WaitKind::kNone);
-  wait_version_.assign(n_, 0);
+  response_timer_.assign(n_, {});
   rate_index_.assign(n_, 0);
   arf_.resize(n_);
   rx_head_.assign(n_, kNil);
@@ -484,10 +484,7 @@ void Engine::send_data(std::size_t n, double nav_until_s) {
 
 void Engine::arm_timeout(std::size_t n, WaitKind kind, double delay_s) {
   waiting_[n] = kind;
-  const std::uint64_t version = ++wait_version_[n];
-  sched_.schedule(delay_s, [this, n, version, kind] {
-    if (wait_version_[n] != version || waiting_[n] == WaitKind::kNone)
-      return;
+  response_timer_[n] = sched_.schedule(delay_s, [this, n, kind] {
     waiting_[n] = WaitKind::kNone;
     on_exchange_failed(n, kind);
   });
@@ -561,7 +558,7 @@ void Engine::handle_frame_outcome(const Transmission& t, bool delivered) {
       const std::size_t src = t.dest;
       if (!delivered || waiting_[src] != WaitKind::kCts) return;
       waiting_[src] = WaitKind::kNone;
-      ++wait_version_[src];
+      sched_.cancel(response_timer_[src]);
       const double nav = t.nav_until_s;
       sched_.schedule(timing_.sifs_s,
                       [this, src, nav] { send_data(src, nav); });
@@ -581,7 +578,7 @@ void Engine::handle_frame_outcome(const Transmission& t, bool delivered) {
       const std::size_t src = t.dest;
       if (!delivered || waiting_[src] != WaitKind::kAck) return;
       waiting_[src] = WaitKind::kNone;
-      ++wait_version_[src];
+      sched_.cancel(response_timer_[src]);
       on_exchange_succeeded(src);
       break;
     }

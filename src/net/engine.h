@@ -121,6 +121,13 @@ std::vector<PerTableKey> per_table_keys(const NetworkConfig& config);
 /// transmitting/nav/ambient/busy_prev for a handful of neighbors per
 /// event, and parallel arrays keep those lines dense instead of
 /// striding over cold per-station protocol state.
+///
+/// Protocol timers are withdrawn, not left to run stale: a node has at
+/// most one pending backoff expiry (while `counting_`) and one response
+/// timeout (while `waiting_`), each held by its scheduler handle. A
+/// freeze cancels the expiry and a received CTS or ACK cancels the
+/// timeout, so a timer that runs is always live. The NAV wakeup stays
+/// one armed event per node that re-arms itself when the NAV grew.
 class Engine {
  public:
   /// A pending cross-tile influence record. Declared up top so
@@ -282,7 +289,7 @@ class Engine {
   std::vector<unsigned> slots_remaining_;
   std::vector<std::uint8_t> counting_;
   std::vector<double> count_start_s_;
-  std::vector<std::uint64_t> timer_version_;
+  std::vector<sim::Scheduler::Handle> backoff_timer_;  // while counting_
   std::vector<std::uint8_t> busy_prev_;
   std::vector<double> nav_until_;
   std::vector<std::uint8_t> nav_armed_;
@@ -290,7 +297,7 @@ class Engine {
   std::vector<double> ambient_peak_w_;  // run max; clamp-slack scale
   std::vector<std::uint8_t> transmitting_;
   std::vector<WaitKind> waiting_;
-  std::vector<std::uint64_t> wait_version_;
+  std::vector<sim::Scheduler::Handle> response_timer_;  // while waiting_
   std::vector<std::size_t> rate_index_;
   std::vector<std::optional<mac::ArfController>> arf_;
   // Active transmissions: a slot arena, plus per node the head of the

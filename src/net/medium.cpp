@@ -114,10 +114,11 @@ void Engine::overhear_nav(const PowerRow& row, double nav_until_s,
 
 // ---- contention and carrier-sense re-evaluation ----
 
-// Freezes a counting station. Returns true when the station's counter
-// had already reached zero at this exact instant — i.e. it transmits
-// simultaneously with whatever made the medium busy (a real collision),
-// because it cannot sense a transmission that starts in the same slot.
+// Freezes a counting station and cancels its pending backoff expiry.
+// Returns true when the station's counter had already reached zero at
+// this exact instant — i.e. it transmits simultaneously with whatever
+// made the medium busy (a real collision), because it cannot sense a
+// transmission that starts in the same slot.
 bool Engine::freeze(std::size_t n) {
   if (!counting_[n]) return false;
   const double elapsed = sched_.now() - count_start_s_[n] - timing_.difs_s();
@@ -127,7 +128,7 @@ bool Engine::freeze(std::size_t n) {
     slots_remaining_[n] -= std::min(used, slots_remaining_[n]);
   }
   counting_[n] = 0;
-  ++timer_version_[n];
+  sched_.cancel(backoff_timer_[n]);
   emit(obs::EventType::kBackoffFreeze, n, kNone, flow_of_[n],
        static_cast<double>(slots_remaining_[n]));
   return slots_remaining_[n] == 0 && elapsed >= -1e-12;
@@ -143,12 +144,10 @@ void Engine::maybe_start_countdown(std::size_t n) {
   count_start_s_[n] = sched_.now();
   emit(obs::EventType::kBackoffStart, n, kNone, flow_of_[n],
        static_cast<double>(slots_remaining_[n]));
-  const std::uint64_t version = ++timer_version_[n];
   const double delay =
       timing_.difs_s() +
       static_cast<double>(slots_remaining_[n]) * timing_.slot_s;
-  sched_.schedule(delay, [this, n, version] {
-    if (!counting_[n] || timer_version_[n] != version) return;
+  backoff_timer_[n] = sched_.schedule(delay, [this, n] {
     counting_[n] = 0;
     slots_remaining_[n] = 0;
     begin_exchange(n);

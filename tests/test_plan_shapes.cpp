@@ -308,7 +308,7 @@ TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
             "flows 34/42/7/0 25/32/7/0 11/12/1/0 13/14/1/0 25/28/3/0 "
             "24/28/3/0 12/13/1/0 10/11/1/0 32/35/3/0 32/36/3/0 data_tx=221 "
             "data_failures=0 rts_tx=251 rts_failures=30 "
-            "simultaneous_starts=26 messages=3648 epochs=2969");
+            "simultaneous_starts=26 messages=3648 epochs=2688");
 }
 
 /// Counts TX_STARTs addressed to a node that already has a reception
@@ -368,11 +368,11 @@ TEST(PinnedOutputs, BorderApOnATileEdgeWithHiddenClients) {
       {false,
        "flows 4/10/5/0 6/11/4/0 5/12/7/0 0/15/15/1 80/83/2/0 13/15/2/0 "
        "85/87/1/0 10/11/1/0 data_tx=244 data_failures=37 rts_tx=0 "
-       "rts_failures=0 simultaneous_starts=4 messages=896 epochs=1864"},
+       "rts_failures=0 simultaneous_starts=4 messages=896 epochs=1720"},
       {true,
        "flows 0/7/7/0 4/14/10/0 0/15/14/1 0/6/6/0 11/13/1/0 29/30/1/0 "
        "29/30/1/0 11/13/1/0 data_tx=128 data_failures=41 rts_tx=0 "
-       "rts_failures=0 simultaneous_starts=2 messages=424 epochs=1166"},
+       "rts_failures=0 simultaneous_starts=2 messages=424 epochs=944"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.per ? "PER model" : "SINR threshold");
