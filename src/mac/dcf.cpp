@@ -21,18 +21,23 @@ const char* access_category_name(AccessCategory ac) {
 }
 
 EdcaParams edca_defaults(AccessCategory ac, PhyGeneration generation) {
+  // 802.11e defaults: the windows derive from the PHY's aCWmin/aCWmax;
+  // the TXOP limits are the standard's DSSS and OFDM values.
+  const MacTiming t = mac_timing(generation);
+  const unsigned cw = t.cw_min;
+  const bool dsss = generation == PhyGeneration::kDsss ||
+                    generation == PhyGeneration::kHrDsss;
   switch (ac) {
-    case AccessCategory::kDcf: {
-      const MacTiming t = mac_timing(generation);
-      return {2, t.cw_min, t.cw_max, 0.0};
-    }
-    // 802.11e defaults for aCWmin = 15, aCWmax = 1023 (OFDM PHYs).
-    case AccessCategory::kVoice: return {2, 3, 7, 1.504e-3};
-    case AccessCategory::kVideo: return {2, 7, 15, 3.008e-3};
-    case AccessCategory::kBestEffort: return {3, 15, 1023, 0.0};
-    case AccessCategory::kBackground: return {7, 15, 1023, 0.0};
+    case AccessCategory::kDcf: return {2, cw, t.cw_max, 0.0};
+    case AccessCategory::kVoice:
+      return {2, (cw + 1) / 4 - 1, (cw + 1) / 2 - 1,
+              dsss ? 3.264e-3 : 1.504e-3};
+    case AccessCategory::kVideo:
+      return {2, (cw + 1) / 2 - 1, cw, dsss ? 6.016e-3 : 3.008e-3};
+    case AccessCategory::kBestEffort: return {3, cw, t.cw_max, 0.0};
+    case AccessCategory::kBackground: return {7, cw, t.cw_max, 0.0};
   }
-  return {3, 15, 1023, 0.0};
+  return {3, cw, t.cw_max, 0.0};
 }
 
 namespace {

@@ -42,9 +42,12 @@ struct EdcaParams {
   double txop_s;     ///< burst limit; 0 = one exchange per access
 };
 
-/// The standard's default parameter set for a category. kDcf is
-/// {2, cw_min, cw_max, 0} of the generation's MAC timing; the EDCA rows
-/// are the 802.11e defaults for OFDM PHYs (aCWmin 15, aCWmax 1023).
+/// The standard's default parameter set for a category, from the
+/// generation's aCWmin/aCWmax (MacTiming cw_min/cw_max). kDcf is
+/// {2, aCWmin, aCWmax, 0}. The 802.11e rows: AC_VO {2, (aCWmin+1)/4-1,
+/// (aCWmin+1)/2-1}, AC_VI {2, (aCWmin+1)/2-1, aCWmin}, AC_BE {3, aCWmin,
+/// aCWmax}, AC_BK {7, aCWmin, aCWmax}; TXOP limits 3.264/6.016 ms
+/// (VO/VI) on DSSS PHYs, 1.504/3.008 ms on OFDM and HT.
 EdcaParams edca_defaults(AccessCategory ac, PhyGeneration generation);
 
 /// One saturated contending station (a single category queue).

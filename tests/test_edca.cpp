@@ -45,6 +45,47 @@ TEST(EdcaDefaults, DcfIsDifsWithThePhyContentionWindow) {
   EXPECT_STREQ(access_category_name(AccessCategory::kDcf), "DCF");
 }
 
+TEST(EdcaDefaults, WindowsFollowThePhyContentionWindow) {
+  // DSSS: aCWmin 31, so AC_VO 7/15 and AC_VI 15/31.
+  for (const PhyGeneration gen :
+       {PhyGeneration::kDsss, PhyGeneration::kHrDsss}) {
+    const EdcaParams vo = edca_defaults(AccessCategory::kVoice, gen);
+    const EdcaParams vi = edca_defaults(AccessCategory::kVideo, gen);
+    const EdcaParams be = edca_defaults(AccessCategory::kBestEffort, gen);
+    EXPECT_EQ(vo.aifsn, 2u);
+    EXPECT_EQ(vo.cw_min, 7u);
+    EXPECT_EQ(vo.cw_max, 15u);
+    EXPECT_DOUBLE_EQ(vo.txop_s, 3.264e-3);
+    EXPECT_EQ(vi.aifsn, 2u);
+    EXPECT_EQ(vi.cw_min, 15u);
+    EXPECT_EQ(vi.cw_max, 31u);
+    EXPECT_DOUBLE_EQ(vi.txop_s, 6.016e-3);
+    EXPECT_EQ(be.cw_min, 31u);
+    EXPECT_EQ(be.cw_max, 1023u);
+  }
+  // OFDM and HT (aCWmin 15): the rows the EDCA results were pinned on.
+  struct Row {
+    AccessCategory ac;
+    unsigned aifsn, cw_min, cw_max;
+    double txop_s;
+  };
+  const Row ofdm_rows[] = {
+      {AccessCategory::kVoice, 2, 3, 7, 1.504e-3},
+      {AccessCategory::kVideo, 2, 7, 15, 3.008e-3},
+      {AccessCategory::kBestEffort, 3, 15, 1023, 0.0},
+      {AccessCategory::kBackground, 7, 15, 1023, 0.0},
+  };
+  for (const PhyGeneration gen : {PhyGeneration::kOfdm, PhyGeneration::kHt}) {
+    for (const Row& row : ofdm_rows) {
+      const EdcaParams p = edca_defaults(row.ac, gen);
+      EXPECT_EQ(p.aifsn, row.aifsn);
+      EXPECT_EQ(p.cw_min, row.cw_min);
+      EXPECT_EQ(p.cw_max, row.cw_max);
+      EXPECT_EQ(p.txop_s, row.txop_s);
+    }
+  }
+}
+
 TEST(Edca, SingleStationDeliversContinuously) {
   Rng rng(1);
   DcfConfig cfg = edca_config();
