@@ -115,6 +115,13 @@ int main(int argc, char** argv) {
                   res.stations[i].throughput_mbps,
                   res.stations[i].mean_access_delay_s * 1e3);
     }
+    // Seed-determined (Rng 77), so the baseline pins them tightly.
+    bu::metric("edca_voice_throughput_mbps", res.stations[0].throughput_mbps);
+    bu::metric("edca_voice_access_delay_ms",
+               res.stations[0].mean_access_delay_s * 1e3);
+    bu::metric("edca_video_throughput_mbps", res.stations[1].throughput_mbps);
+    bu::metric("edca_video_access_delay_ms",
+               res.stations[1].mean_access_delay_s * 1e3);
   }
 
   bu::section("LDPC min-sum normalization (BER at Eb/N0 = 2.2 dB, n=648)");
