@@ -61,6 +61,13 @@ void Scheduler::remove_at(std::size_t pos) {
   }
 }
 
+// Frees `slot` and removes its key, which sits at heap index `pos`.
+void Scheduler::release(std::uint32_t slot, std::size_t pos) {
+  slab_[slot].pos = kNoSlot;
+  free_.push_back(slot);
+  remove_at(pos);
+}
+
 Scheduler::Handle Scheduler::push(double time, std::uint64_t priority,
                                   Action action) {
   std::uint32_t slot;
@@ -99,9 +106,7 @@ void Scheduler::cancel(Handle h) {
   const std::uint32_t pos = slab_[h.slot_].pos;
   // A free slot, or one reused by a later event, no longer holds h's key.
   if (pos == kNoSlot || heap_[pos].order != h.order_) return;
-  slab_[h.slot_].pos = kNoSlot;
-  free_.push_back(h.slot_);
-  remove_at(pos);
+  release(h.slot_, pos);
 }
 
 template <class Before>
@@ -111,11 +116,8 @@ std::size_t Scheduler::drain(Before before) {
     // Copy the action out and free its slot before running it: the
     // action may schedule (and reuse the slot) or cancel.
     const Key top = heap_.front();
-    Slot& slot = slab_[top.slot];
-    const Action action = slot.action;
-    slot.pos = kNoSlot;
-    free_.push_back(top.slot);
-    remove_at(0);
+    const Action action = slab_[top.slot].action;
+    release(top.slot, 0);
     now_ = top.time;
     action();
     ++executed;

@@ -165,6 +165,7 @@ class Scheduler {
   void sift_up(std::size_t pos, Key key);
   void sift_down(std::size_t pos, Key key);
   void remove_at(std::size_t pos);
+  void release(std::uint32_t slot, std::size_t pos);
   template <class Before>
   std::size_t drain(Before before);
   void after_event();
