@@ -70,6 +70,15 @@ double wall_s(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Directed CSR edges whose endpoints sit in different tiles.
+std::size_t border_edges(const wlan::net::ShardPlan& plan) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < plan.shard_of.size(); ++i)
+    for (std::size_t e = plan.row_offset[i]; e < plan.row_offset[i + 1]; ++e)
+      count += plan.shard_of[plan.nbr[e]] != plan.shard_of[i];
+  return count;
+}
+
 /// --overlap: ONE connected 100k-node city through the conservative-time
 /// border exchange. The street grid shrinks until adjacent buildings
 /// couple (the gap sits inside the planner's cutoff radius), so
@@ -134,11 +143,9 @@ int run_overlap(std::size_t grid) {
               opt.border_tile_m);
   std::printf("  lookahead     : %.2f us (min border distance %.1f m)\n",
               plan.lookahead_s * 1e6, plan.min_border_m);
+  const std::size_t n_border_edges = border_edges(plan);
   std::printf("  edges         : %zu intra + %zu border\n",
-              plan.n_edges() - plan.total_border_edges(),
-              plan.total_border_edges());
-  std::printf("  load balance  : max/mean shard weight %.2f\n",
-              plan.load_imbalance());
+              plan.n_edges() - n_border_edges, n_border_edges);
   std::printf("  planned in %.2f s (both plans)\n", plan_s);
 
   // The bordered city at 1 lane, then 8: bitwise-identical snapshots,
@@ -207,8 +214,7 @@ int run_overlap(std::size_t grid) {
   bu::metric("components", static_cast<double>(components));
   bu::metric("tiles", static_cast<double>(plan.shards.size()));
   bu::metric("lookahead_us", plan.lookahead_s * 1e6);
-  bu::metric("border_edges", static_cast<double>(plan.total_border_edges()));
-  bu::metric("shard_load_imbalance", plan.load_imbalance());
+  bu::metric("border_edges", static_cast<double>(n_border_edges));
   bu::metric("epochs", static_cast<double>(result.border.epochs));
   bu::metric("border_messages", static_cast<double>(result.border.messages));
   bu::metric("city_throughput_mbps", result.aggregate_throughput_mbps);
@@ -311,10 +317,6 @@ int main(int argc, char** argv) {
   std::printf("  shards        : %zu\n", plan.shards.size());
   std::printf("  edges         : %zu (mean degree %.1f, max %zu)\n",
               plan.n_edges(), plan.mean_degree(), plan.max_degree());
-  std::printf("  load balance  : max/mean shard weight %.2f (max %.0f, "
-              "mean %.1f)\n",
-              plan.load_imbalance(), plan.max_load_weight(),
-              plan.mean_load_weight());
   std::printf("  planned in %.2f s\n", plan_s);
   const double dense_gb = static_cast<double>(city.nodes.size()) *
                           static_cast<double>(city.nodes.size()) * 8.0 / 1e9;

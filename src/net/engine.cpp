@@ -245,33 +245,23 @@ Engine::Engine(const NetworkConfig& config,
   if (config.airtime) {
     obs::AirtimeAccountant::Config ac;
     ac.n_nodes = n_;
-    ac.n_flows = n_flows_;
-    ac.window_s = config.airtime_window_s;
-    ac.payload_bits = static_cast<double>(config.payload_bytes) * 8.0;
     ac.node_ids = node_id_;
-    ac.flow_ids = flow_id_;
     airtime_ = std::make_unique<obs::AirtimeAccountant>(ac);
   }
   if (config.lifecycle.enabled) {
     obs::FrameLedger::Config lc;
     lc.n_flows = n_flows_;
-    lc.hist_lo = config.lifecycle.hist_lo_s;
-    lc.hist_hi = config.lifecycle.hist_hi_s;
-    lc.hist_bins = config.lifecycle.hist_bins;
     lc.registry = registry_;
     lc.flow_ids = flow_id_;
     ledger_ = std::make_unique<obs::FrameLedger>(lc);
     obs::TimeSeriesSampler::Config sc;
     sc.n_flows = n_flows_;
-    sc.window_s = config.lifecycle.sample_window_s;
     sc.payload_bits = static_cast<double>(config.payload_bytes) * 8.0;
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(sc);
     if (config.lifecycle.audit) {
       obs::InvariantAuditor::Config auc;
       auc.n_nodes = n_;
       auc.n_flows = n_flows_;
-      auc.flight_recorder_capacity =
-          config.lifecycle.flight_recorder_capacity;
       auc.dump_path = config.lifecycle.flight_recorder_path;
       if (!auc.dump_path.empty() && !fused_ && plan.shards.size() > 1)
         auc.dump_path += ".shard" + std::to_string(shard);

@@ -9,25 +9,18 @@ namespace {
 /// Folds one shard's airtime ledger into the global report. Channel
 /// seconds sum — the merged report describes `n_shards` independent
 /// channels, so duration_s grows with each shard and the
-/// idle+busy+collision partition still closes against it. Node and flow
-/// entries land in their global slots.
+/// idle+busy+collision partition still closes against it. Node entries
+/// land in their global slots.
 void merge_airtime(obs::AirtimeReport& into, const obs::AirtimeReport& part,
                    const std::vector<std::size_t>& node_ids,
-                   const std::vector<std::size_t>& flow_ids,
-                   std::size_t n_nodes, std::size_t n_flows) {
-  if (into.nodes.empty() && into.flows.empty()) {
-    into.nodes.resize(n_nodes);
-    into.flows.resize(n_flows);
-    into.window_s = part.window_s;
-  }
+                   std::size_t n_nodes) {
+  if (into.nodes.empty()) into.nodes.resize(n_nodes);
   into.duration_s += part.duration_s;
   into.idle_s += part.idle_s;
   into.busy_s += part.busy_s;
   into.collision_s += part.collision_s;
   for (std::size_t n = 0; n < part.nodes.size(); ++n)
     into.nodes[node_ids[n]] = part.nodes[n];
-  for (std::size_t f = 0; f < part.flows.size(); ++f)
-    into.flows[flow_ids[f]] = part.flows[f];
 }
 
 /// Folds one shard's lifecycle books into the global result: ledger
@@ -93,8 +86,7 @@ NetworkResult merge_shard_outputs(const NetworkConfig& config,
     total.rts_failures += r.rts_failures;
     total.simultaneous_starts += r.simultaneous_starts;
     if (config.airtime) {
-      merge_airtime(total.airtime, r.airtime, out.node_ids, out.flow_ids,
-                    n_nodes, n_flows);
+      merge_airtime(total.airtime, r.airtime, out.node_ids, n_nodes);
     }
     if (config.lifecycle.enabled) {
       merge_lifecycle(total.lifecycle, r.lifecycle, out.flow_ids, n_flows, s);

@@ -99,8 +99,6 @@ struct NetworkConfig {
   /// `NetworkResult::airtime` and is mirrored into the registry as
   /// "airtime." gauges/counters.
   bool airtime = false;
-  /// Goodput-series window for the airtime ledger.
-  double airtime_window_s = 10e-3;
 
   /// Frame-lifecycle observability (obs/analyze/lifecycle.h): per-frame
   /// delay attribution, windowed time series, and conservation checks.
@@ -113,17 +111,9 @@ struct NetworkConfig {
     /// Also run the InvariantAuditor (conservation laws + flight
     /// recorder); only meaningful with `enabled`.
     bool audit = true;
-    /// Time-series window.
-    double sample_window_s = 10e-3;
-    /// Last-N events kept for the breach post-mortem.
-    std::size_t flight_recorder_capacity = 256;
     /// On breach the flight-recorder JSON is written here ("" keeps it
     /// only in NetworkResult::lifecycle.flight_recorder_json).
     std::string flight_recorder_path;
-    /// Delay/component histogram binning (log bins, seconds).
-    double hist_lo_s = 1e-6;
-    double hist_hi_s = 100.0;
-    std::size_t hist_bins = 64;
   };
   LifecycleOptions lifecycle;
 };

@@ -180,7 +180,8 @@ ShardPlan plan_shards(const NetworkConfig& config,
   }
 
   // Border tiles depend on geometry and flows only, so they are known
-  // before the rows and the row pass can count cross-tile edges.
+  // before the rows and the row pass can find the shortest cross-tile
+  // distance.
   if (options.border) {
     plan.border = true;
     const double border_tile =
@@ -225,8 +226,8 @@ ShardPlan plan_shards(const NetworkConfig& config,
   // one chunk, as for an unbounded plan) in three passes:
   //  1. Each pair is tested once, from its smaller node i: row i's
   //     coupled j > i go, sorted, into the chunk's buffer (the upper
-  //     row), and i is counted into row j's lower part. Cross-tile
-  //     edges and the shortest cross-tile distance are counted here.
+  //     row), and i is counted into row j's lower part. The shortest
+  //     cross-tile distance is found here.
   //  2. A prefix sum of row lengths lays out row_offset; each chunk
   //     copies its upper rows into place and scatters i into the
   //     lower part of each of its rows' j.
@@ -261,15 +262,10 @@ ShardPlan plan_shards(const NetworkConfig& config,
       for (std::size_t c = b; c < e; ++c) body(c);
     });
   };
-  const auto bump = [](std::uint32_t& count) {
-    std::atomic_ref<std::uint32_t>(count).fetch_add(
-        1, std::memory_order_relaxed);
-  };
 
   std::vector<std::vector<std::uint32_t>> upper(n_chunks);
   std::vector<std::uint32_t> upper_len(n, 0);
   std::vector<std::uint32_t> lower_len(n, 0);
-  std::vector<std::uint32_t> cross(plan.border ? n : 0, 0);
   std::vector<double> chunk_min_d(n_chunks,
                                   std::numeric_limits<double>::infinity());
   for_each_chunk([&](std::size_t c) {
@@ -309,12 +305,10 @@ ShardPlan plan_shards(const NetworkConfig& config,
               continue;
           }
           out.push_back(j);
-          bump(lower_len[j]);
-          if (plan.border && plan.shard_of[i] != plan.shard_of[j]) {
-            bump(cross[i]);
-            bump(cross[j]);
+          std::atomic_ref<std::uint32_t>(lower_len[j]).fetch_add(
+              1, std::memory_order_relaxed);
+          if (plan.border && plan.shard_of[i] != plan.shard_of[j])
             min_d = std::min(min_d, d);
-          }
         }
       }
       std::sort(out.begin() + static_cast<std::ptrdiff_t>(row_begin),
@@ -394,21 +388,6 @@ ShardPlan plan_shards(const NetworkConfig& config,
             ? options.border_delay_s
             : slot_s + plan.min_border_m / kSpeedOfLight;
     plan.lookahead_s = pow2_floor(phys);
-  }
-
-  // Per-shard load estimates: nodes, flows, and neighbor-pair counts
-  // (directed CSR edges, split into same-shard and cross-shard; a
-  // component plan has no cross-shard edge).
-  plan.load.assign(plan.shards.size(), ShardLoad{});
-  for (std::size_t i = 0; i < n; ++i) {
-    ShardLoad& l = plan.load[plan.shard_of[i]];
-    const std::size_t border_edges = plan.border ? cross[i] : 0;
-    ++l.nodes;
-    l.intra_edges += plan.degree(i) - border_edges;
-    l.border_edges += border_edges;
-  }
-  if (flows) {
-    for (const Flow& f : *flows) ++plan.load[plan.shard_of[f.source]].flows;
   }
   return plan;
 }

@@ -94,19 +94,6 @@ struct ShardOptions {
   bool border_reference = false;
 };
 
-/// Per-shard load estimate, for diagnosing epoch-barrier imbalance.
-struct ShardLoad {
-  std::size_t nodes = 0;
-  std::size_t flows = 0;
-  /// Directed CSR edges whose endpoints share this shard.
-  std::size_t intra_edges = 0;
-  /// Directed CSR edges leaving this shard (0 in component mode).
-  std::size_t border_edges = 0;
-  double weight() const {
-    return static_cast<double>(nodes) + static_cast<double>(flows);
-  }
-};
-
 /// The precomputed coupling structure of a deployment.
 struct ShardPlan {
   /// Received power below this is treated as zero (-inf when the
@@ -133,8 +120,6 @@ struct ShardPlan {
   double lookahead_s = 0.0;
   /// Shortest cross-tile coupled distance found (m); 0 when none.
   double min_border_m = 0.0;
-  /// Per-shard load estimates (filled when flows were supplied).
-  std::vector<ShardLoad> load;
 
   std::size_t degree(std::size_t i) const {
     return row_offset[i + 1] - row_offset[i];
@@ -152,36 +137,13 @@ struct ShardPlan {
       m = std::max(m, degree(i));
     return m;
   }
-
-  /// Heaviest shard weight (nodes + flows); 0 without load estimates.
-  double max_load_weight() const {
-    double m = 0.0;
-    for (const ShardLoad& l : load) m = std::max(m, l.weight());
-    return m;
-  }
-  double mean_load_weight() const {
-    if (load.empty()) return 0.0;
-    double s = 0.0;
-    for (const ShardLoad& l : load) s += l.weight();
-    return s / static_cast<double>(load.size());
-  }
-  /// max/mean shard weight; 1.0 = perfectly balanced.
-  double load_imbalance() const {
-    const double mean = mean_load_weight();
-    return mean > 0.0 ? max_load_weight() / mean : 0.0;
-  }
-  std::size_t total_border_edges() const {
-    std::size_t s = 0;
-    for (const ShardLoad& l : load) s += l.border_edges;
-    return s;
-  }
 };
 
 /// Builds the coupling plan for a deployment (no RNG, pure geometry).
-/// Supplying `flows` fills per-shard load estimates; in border mode it
-/// additionally clusters each flow's endpoints into one tile (every
-/// node of a flow-connected cluster adopts the tile of its smallest
-/// member), guaranteeing flows never span tiles.
+/// `flows` matters only in border mode, where it clusters each flow's
+/// endpoints into one tile (every node of a flow-connected cluster
+/// adopts the tile of its smallest member), guaranteeing flows never
+/// span tiles.
 ShardPlan plan_shards(const NetworkConfig& config,
                       const std::vector<NodeConfig>& nodes,
                       const ShardOptions& options,

@@ -1,50 +1,27 @@
 #include "obs/analyze/airtime.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <string>
 
 #include "common/check.h"
 
 namespace wlan::obs {
-namespace {
-
-double jain(const std::vector<double>& xs) {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const double x : xs) {
-    sum += x;
-    sum_sq += x * x;
-  }
-  if (sum_sq <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
-}
-
-}  // namespace
-
-double AirtimeReport::jain_fairness_goodput() const {
-  std::vector<double> xs;
-  xs.reserve(flows.size());
-  for (const FlowAirtime& f : flows) {
-    xs.push_back(static_cast<double>(f.delivered));
-  }
-  return jain(xs);
-}
 
 double AirtimeReport::jain_fairness_airtime() const {
-  std::vector<double> xs;
-  xs.reserve(nodes.size());
-  for (const NodeAirtime& n : nodes) xs.push_back(n.tx_s);
-  return jain(xs);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const NodeAirtime& n : nodes) {
+    sum += n.tx_s;
+    sum_sq += n.tx_s * n.tx_s;
+  }
+  if (sum_sq <= 0.0) return 1.0;
+  return sum * sum / (static_cast<double>(nodes.size()) * sum_sq);
 }
 
 AirtimeAccountant::AirtimeAccountant(const Config& config) : config_(config) {
   check(config.n_nodes >= 1, "AirtimeAccountant needs at least one node");
-  check(config.window_s > 0.0, "AirtimeAccountant window must be positive");
   report_.nodes.resize(config.n_nodes);
-  report_.flows.resize(config.n_flows);
-  report_.window_s = config.window_s;
   transmitting_.assign(config.n_nodes, false);
   state_.assign(config.n_nodes, NodeState::kIdle);
   state_since_.assign(config.n_nodes, 0.0);
@@ -81,15 +58,6 @@ void AirtimeAccountant::settle_node(std::size_t n, double t) {
     }
   }
   state_since_[n] = t;
-}
-
-void AirtimeAccountant::credit_delivery(std::size_t flow, double t) {
-  if (flow >= report_.flows.size()) return;
-  FlowAirtime& f = report_.flows[flow];
-  ++f.delivered;
-  const auto w = static_cast<std::size_t>(std::floor(t / config_.window_s));
-  if (w >= f.window_deliveries.size()) f.window_deliveries.resize(w + 1, 0);
-  ++f.window_deliveries[w];
 }
 
 void AirtimeAccountant::record(const TraceEvent& e) {
@@ -141,17 +109,7 @@ void AirtimeAccountant::record(const TraceEvent& e) {
       if (has_node) ++report_.nodes[n].same_slot_collisions;
       break;
     case EventType::kStateChange:
-      if (e.flow >= 0 && e.detail != nullptr &&
-          std::strcmp(e.detail, "DELIVERED") == 0) {
-        credit_delivery(static_cast<std::size_t>(e.flow), e.time_s);
-      }
-      break;
     case EventType::kDrop:
-      if (e.flow >= 0 &&
-          static_cast<std::size_t>(e.flow) < report_.flows.size()) {
-        ++report_.flows[static_cast<std::size_t>(e.flow)].drops;
-      }
-      break;
     case EventType::kRxOk:
     case EventType::kRxFail:
     case EventType::kNavSet:
@@ -169,20 +127,6 @@ const AirtimeReport& AirtimeAccountant::finalize(double end_s) {
     settle_node(n, end);
   }
   report_.duration_s = end;
-  // Normalize the goodput series: every flow gets the same number of
-  // windows covering [0, end).
-  const auto n_windows = static_cast<std::size_t>(
-      std::ceil(end / config_.window_s - 1e-12));
-  for (FlowAirtime& f : report_.flows) {
-    f.window_deliveries.resize(std::max<std::size_t>(n_windows, 1), 0);
-    f.goodput_mbps.assign(f.window_deliveries.size(), 0.0);
-    if (config_.payload_bits > 0.0) {
-      for (std::size_t w = 0; w < f.window_deliveries.size(); ++w) {
-        f.goodput_mbps[w] = static_cast<double>(f.window_deliveries[w]) *
-                            config_.payload_bits / config_.window_s / 1e6;
-      }
-    }
-  }
   return report_;
 }
 
@@ -192,7 +136,6 @@ void AirtimeAccountant::publish(Registry& registry) const {
   registry.gauge("airtime.idle_fraction").set(r.idle_fraction());
   registry.gauge("airtime.busy_fraction").set(r.busy_fraction());
   registry.gauge("airtime.collision_fraction").set(r.collision_fraction());
-  registry.gauge("airtime.jain_goodput").set(r.jain_fairness_goodput());
   registry.gauge("airtime.jain_airtime").set(r.jain_fairness_airtime());
   for (std::size_t n = 0; n < r.nodes.size(); ++n) {
     const NodeAirtime& node = r.nodes[n];
@@ -207,13 +150,6 @@ void AirtimeAccountant::publish(Registry& registry) const {
     registry.counter("airtime.node_rts_frames", label).add(node.rts_frames);
     registry.counter("airtime.node_collisions", label)
         .add(node.same_slot_collisions);
-  }
-  for (std::size_t f = 0; f < r.flows.size(); ++f) {
-    const std::size_t id = f < config_.flow_ids.size() ? config_.flow_ids[f] : f;
-    const std::vector<Label> label{{"flow", std::to_string(id)}};
-    registry.counter("airtime.flow_delivered", label)
-        .add(r.flows[f].delivered);
-    registry.counter("airtime.flow_drops", label).add(r.flows[f].drops);
   }
 }
 

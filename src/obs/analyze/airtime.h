@@ -14,9 +14,11 @@
 //  - a per-node ledger: transmit airtime (and the part of it spent
 //    overlapping other transmissions), backoff countdown time, and
 //    deferral time (frozen countdown waiting for the medium);
-//  - per-flow delivery counts and a short-horizon goodput series
-//    (deliveries bucketed into fixed windows);
-//  - Jain fairness over both per-flow goodput and per-node airtime.
+//  - Jain fairness over per-node airtime.
+//
+// Per-flow deliveries and drops are not repeated here: the simulator
+// counts them (net.delivered / net.drops), FrameLedger reconciles them
+// per frame, and TimeSeriesSampler windows them into goodput.
 //
 // The accountant is pure event-stream analysis: it never touches the
 // simulator's internals, so anything emitting the standard taxonomy
@@ -45,34 +47,19 @@ struct NodeAirtime {
   std::uint64_t same_slot_collisions = 0;  ///< COLLISION events observed
 };
 
-/// Per-flow delivery accounting.
-struct FlowAirtime {
-  std::uint64_t delivered = 0;
-  std::uint64_t drops = 0;
-  /// Deliveries per analysis window (windows cover [0, duration)).
-  std::vector<std::uint64_t> window_deliveries;
-  /// Same series as goodput in Mbps (payload_bits credited per delivery;
-  /// all zero when the accountant was configured with payload_bits == 0).
-  std::vector<double> goodput_mbps;
-};
-
 /// The closed ledger returned by `AirtimeAccountant::finalize`.
 struct AirtimeReport {
   double duration_s = 0.0;
   double idle_s = 0.0;       ///< no transmission in the air
   double busy_s = 0.0;       ///< exactly one transmission in the air
   double collision_s = 0.0;  ///< two or more overlapping transmissions
-  double window_s = 0.0;
   std::vector<NodeAirtime> nodes;
-  std::vector<FlowAirtime> flows;
 
   double idle_fraction() const { return frac(idle_s); }
   double busy_fraction() const { return frac(busy_s); }
   double collision_fraction() const { return frac(collision_s); }
 
-  /// Jain's index over per-flow delivered counts (1 = perfectly fair).
-  double jain_fairness_goodput() const;
-  /// Jain's index over per-node transmit airtime.
+  /// Jain's index over per-node transmit airtime (1 = perfectly fair).
   double jain_fairness_airtime() const;
 
  private:
@@ -85,18 +72,11 @@ class AirtimeAccountant final : public TraceSink {
  public:
   struct Config {
     std::size_t n_nodes = 0;
-    std::size_t n_flows = 0;
-    /// Goodput-series horizon; each window accumulates deliveries.
-    double window_s = 10e-3;
-    /// Bits credited per delivered packet (payload * 8); 0 leaves the
-    /// goodput series zeroed and only counts deliveries.
-    double payload_bits = 0.0;
     /// Optional global ids used only for publish() labels: entry i names
-    /// node/flow i in the emitted node=/flow= labels. Empty = identity.
-    /// The sharded netsim passes global ids so per-shard registries
-    /// merge into disjoint, globally named instruments.
+    /// node i in the emitted node= labels. Empty = identity. The sharded
+    /// netsim passes global ids so per-shard registries merge into
+    /// disjoint, globally named instruments.
     std::vector<std::size_t> node_ids;
-    std::vector<std::size_t> flow_ids;
   };
 
   explicit AirtimeAccountant(const Config& config);
@@ -113,7 +93,7 @@ class AirtimeAccountant final : public TraceSink {
   const AirtimeReport& report() const { return report_; }
 
   /// Mirrors the finalized ledger into `registry` as gauges/counters
-  /// under "airtime." with node=/flow= labels.
+  /// under "airtime." with node= labels.
   void publish(Registry& registry) const;
 
  private:
@@ -121,7 +101,6 @@ class AirtimeAccountant final : public TraceSink {
 
   void advance(double t);
   void settle_node(std::size_t n, double t);
-  void credit_delivery(std::size_t flow, double t);
 
   Config config_;
   AirtimeReport report_;

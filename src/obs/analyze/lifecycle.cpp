@@ -14,6 +14,16 @@ namespace {
 constexpr double kTimeSlack = 1e-9;
 // Breach descriptions kept verbatim; beyond this only the count grows.
 constexpr std::size_t kMaxBreachMessages = 32;
+// Delay/component histograms: 64 log bins over 1 us .. 100 s.
+constexpr double kHistLoS = 1e-6;
+constexpr double kHistHiS = 100.0;
+constexpr std::size_t kHistBins = 64;
+// TimeSeriesSampler window.
+constexpr double kSampleWindowS = 10e-3;
+// Last-N events kept for the breach post-mortem.
+constexpr std::size_t kFlightRecorderCapacity = 256;
+// Relative slack for the airtime-closure check.
+constexpr double kAirtimeTolerance = 1e-9;
 
 std::vector<Label> flow_label(std::size_t flow) {
   return {{"flow", std::to_string(flow)}};
@@ -42,31 +52,27 @@ const char* delay_component_name(std::size_t i) {
 FrameLedger::FrameLedger(const Config& config)
     : config_(config), flows_(config.n_flows) {
   check(config_.registry != nullptr, "FrameLedger requires a Registry");
-  check(config_.hist_lo > 0.0 && config_.hist_lo < config_.hist_hi,
-        "FrameLedger histogram range requires 0 < lo < hi");
   Registry& reg = *config_.registry;
-  const double lo = config_.hist_lo;
-  const double hi = config_.hist_hi;
-  const std::size_t bins = std::max<std::size_t>(1, config_.hist_bins);
   // Every instrument is created here, before any event, in a fixed
   // order: shard registries built by parallel runs then hold identical
   // entry lists and Registry::merge folds them exactly.
-  delay_all_ = &reg.histogram("lifecycle.delay_s", lo, hi, bins);
+  delay_all_ =
+      &reg.histogram("lifecycle.delay_s", kHistLoS, kHistHiS, kHistBins);
   delay_flow_.resize(config_.n_flows);
   for (std::size_t f = 0; f < config_.n_flows; ++f) {
-    delay_flow_[f] = &reg.histogram("lifecycle.delay_s", lo, hi, bins,
-                                    flow_label(flow_id(f)));
+    delay_flow_[f] = &reg.histogram("lifecycle.delay_s", kHistLoS, kHistHiS,
+                                    kHistBins, flow_label(flow_id(f)));
   }
   component_all_.resize(kDelayComponentCount);
   component_flow_.resize(kDelayComponentCount);
   for (std::size_t c = 0; c < kDelayComponentCount; ++c) {
     component_all_[c] = &reg.histogram(
-        "lifecycle.component_s", lo, hi, bins,
+        "lifecycle.component_s", kHistLoS, kHistHiS, kHistBins,
         {{"component", delay_component_name(c)}});
     component_flow_[c].resize(config_.n_flows);
     for (std::size_t f = 0; f < config_.n_flows; ++f) {
       component_flow_[c][f] = &reg.histogram(
-          "lifecycle.component_s", lo, hi, bins,
+          "lifecycle.component_s", kHistLoS, kHistHiS, kHistBins,
           {{"component", delay_component_name(c)},
            {"flow", std::to_string(flow_id(f))}});
     }
@@ -242,13 +248,12 @@ void FrameLedger::publish(Registry& registry) const {
 
 TimeSeriesSampler::TimeSeriesSampler(const Config& config)
     : config_(config), outstanding_(config.n_flows, 0) {
-  check(config_.window_s > 0.0, "TimeSeriesSampler requires window_s > 0");
-  series_.window_s = config_.window_s;
+  series_.window_s = kSampleWindowS;
 }
 
 void TimeSeriesSampler::window_at(double t) {
   const auto w = static_cast<std::size_t>(
-      std::max(0.0, std::floor(t / config_.window_s)));
+      std::max(0.0, std::floor(t / kSampleWindowS)));
   while (current_window_ < w) {
     in_flight_at_end_.push_back(static_cast<double>(in_flight_now_));
     ++current_window_;
@@ -302,9 +307,9 @@ const LifecycleSeries& TimeSeriesSampler::finalize(double end_s) {
   if (finalized_) return series_;
   finalized_ = true;
   // Windows cover [0, end_s); a final partial window is kept (its
-  // goodput is normalized by the full window like airtime's series).
+  // goodput is normalized by the full window).
   const auto n = static_cast<std::size_t>(
-      std::ceil(std::max(0.0, end_s) / config_.window_s - kTimeSlack));
+      std::ceil(std::max(0.0, end_s) / kSampleWindowS - kTimeSlack));
   deliveries_.resize(std::max(n, deliveries_.size()), 0);
   tx_starts_.resize(deliveries_.size(), 0);
   collisions_.resize(deliveries_.size(), 0);
@@ -317,9 +322,9 @@ const LifecycleSeries& TimeSeriesSampler::finalize(double end_s) {
   series_.collision_rate.resize(windows);
   series_.in_flight.resize(windows);
   for (std::size_t w = 0; w < windows; ++w) {
-    series_.t_s[w] = static_cast<double>(w + 1) * config_.window_s;
+    series_.t_s[w] = static_cast<double>(w + 1) * kSampleWindowS;
     series_.goodput_mbps[w] = static_cast<double>(deliveries_[w]) *
-                              config_.payload_bits / config_.window_s / 1e6;
+                              config_.payload_bits / kSampleWindowS / 1e6;
     series_.collision_rate[w] =
         static_cast<double>(collisions_[w]) /
         static_cast<double>(std::max<std::uint64_t>(1, tx_starts_[w]));
@@ -361,7 +366,7 @@ const LifecycleSeries& TimeSeriesSampler::finalize(double end_s) {
 
 InvariantAuditor::InvariantAuditor(const Config& config)
     : config_(config),
-      ring_(std::max<std::size_t>(1, config.flight_recorder_capacity)),
+      ring_(kFlightRecorderCapacity),
       transmitting_(config.n_nodes, false),
       flows_(config.n_flows) {}
 
@@ -461,7 +466,7 @@ void InvariantAuditor::audit(const AirtimeReport& airtime) {
   const double covered =
       airtime.idle_s + airtime.busy_s + airtime.collision_s;
   const double tol =
-      config_.airtime_tolerance * std::max(1.0, airtime.duration_s);
+      kAirtimeTolerance * std::max(1.0, airtime.duration_s);
   if (std::abs(covered - airtime.duration_s) > tol) {
     std::ostringstream msg;
     msg << "airtime partition does not close: idle+busy+collision = "
@@ -472,8 +477,8 @@ void InvariantAuditor::audit(const AirtimeReport& airtime) {
                            airtime.collision_fraction()};
   const char* names[3] = {"idle", "busy", "collision"};
   for (int i = 0; i < 3; ++i) {
-    if (fracs[i] < -config_.airtime_tolerance ||
-        fracs[i] > 1.0 + config_.airtime_tolerance) {
+    if (fracs[i] < -kAirtimeTolerance ||
+        fracs[i] > 1.0 + kAirtimeTolerance) {
       std::ostringstream msg;
       msg << "airtime " << names[i] << " fraction " << fracs[i]
           << " outside [0, 1]";

@@ -120,13 +120,10 @@ class FrameLedger final : public TraceSink {
  public:
   struct Config {
     std::size_t n_flows = 0;
-    /// Per-flow delay/component histogram binning (log bins, seconds).
-    double hist_lo = 1e-6;
-    double hist_hi = 100.0;
-    std::size_t hist_bins = 64;
     /// Required. All histograms are created here at construction —
     /// "lifecycle.delay_s" (aggregate and {flow=f}) and
-    /// "lifecycle.component_s" {component=..} (aggregate and per flow) —
+    /// "lifecycle.component_s" {component=..} (aggregate and per flow),
+    /// 64 log bins over 1 us .. 100 s —
     /// so every shard registry carries the same instruments in the same
     /// order and Registry::merge is exact.
     Registry* registry = nullptr;
@@ -195,13 +192,13 @@ class FrameLedger final : public TraceSink {
   std::vector<std::vector<Histogram*>> component_flow_;
 };
 
-/// Windowed goodput / collision-rate / in-flight series; see file
-/// comment. Events must arrive in nondecreasing time order.
+/// Windowed goodput / collision-rate / in-flight series over 10 ms
+/// windows; see file comment. Events must arrive in nondecreasing time
+/// order.
 class TimeSeriesSampler final : public TraceSink {
  public:
   struct Config {
     std::size_t n_flows = 0;
-    double window_s = 10e-3;
     /// Bits credited per delivery; 0 leaves goodput_mbps zeroed.
     double payload_bits = 0.0;
   };
@@ -231,19 +228,16 @@ class TimeSeriesSampler final : public TraceSink {
 };
 
 /// Online conservation checks over the event stream with a
-/// flight-recorder dump on breach; see file comment.
+/// flight-recorder dump of the last 256 events on breach; see file
+/// comment.
 class InvariantAuditor final : public TraceSink {
  public:
   struct Config {
     std::size_t n_nodes = 0;
     std::size_t n_flows = 0;
-    /// Last-N events kept for the post-mortem dump.
-    std::size_t flight_recorder_capacity = 256;
     /// When non-empty, the first breach writes the flight-recorder JSON
     /// here ("" keeps it in memory only; see flight_recorder_json()).
     std::string dump_path;
-    /// Relative slack for the airtime-closure check.
-    double airtime_tolerance = 1e-9;
   };
 
   explicit InvariantAuditor(const Config& config);
@@ -261,7 +255,7 @@ class InvariantAuditor final : public TraceSink {
 
   /// Airtime-closure check against a finalized AirtimeReport:
   /// idle + busy + collision must equal the duration, and each fraction
-  /// must lie in [0, 1]. Call before finalize().
+  /// must lie in [0, 1] (relative slack 1e-9). Call before finalize().
   void audit(const AirtimeReport& airtime);
 
   /// Cross-checks a closed FrameLedger report: for every queue-backed

@@ -148,14 +148,6 @@ double EpochStats::imbalance() const {
   return max_busy_s / mean_busy_s;
 }
 
-void publish_epoch_stats(obs::Registry& registry, const EpochStats& stats,
-                         unsigned lanes) {
-  registry.gauge("par.epoch.rounds").set(static_cast<double>(stats.rounds));
-  registry.gauge("par.epoch.wall_s").set(stats.wall_s);
-  registry.gauge("par.epoch.utilization").set(stats.utilization(lanes));
-  registry.gauge("par.epoch.imbalance").set(stats.imbalance());
-}
-
 ThreadPool::ThreadPool(unsigned jobs)
     : jobs_(std::max(1u, jobs == 0 ? hardware_jobs() : jobs)) {
   const unsigned workers = jobs_ - 1;

@@ -111,13 +111,6 @@ struct EpochStats {
   double imbalance() const;
 };
 
-/// Publishes epoch-barrier telemetry into `registry`: gauges
-/// par.epoch.rounds / par.epoch.wall_s / par.epoch.utilization /
-/// par.epoch.imbalance. Fixed creation order. Wall-clock values — keep
-/// the registry out of bitwise-comparison paths.
-void publish_epoch_stats(obs::Registry& registry, const EpochStats& stats,
-                         unsigned lanes);
-
 namespace detail {
 /// steady_clock in integer nanoseconds (telemetry timestamps).
 std::uint64_t monotonic_ns() noexcept;

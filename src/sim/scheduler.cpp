@@ -121,8 +121,11 @@ std::size_t Scheduler::drain(Before before) {
     now_ = top.time;
     action();
     ++executed;
-    after_event();
+    if (queue_depth_hist_)
+      queue_depth_hist_->record(static_cast<double>(heap_.size()));
   }
+  executed_ += executed;
+  if (executed_counter_) executed_counter_->add(executed);
   return executed;
 }
 
@@ -151,15 +154,6 @@ void Scheduler::bind_metrics(obs::Registry& registry) {
   // Depth 1 .. 1e6 events, 4 bins per decade; zero depth lands in the
   // underflow bucket.
   queue_depth_hist_ = &registry.histogram("sim.queue_depth", 1.0, 1e6, 24);
-}
-
-void Scheduler::after_event() {
-  ++executed_;
-  if (executed_counter_) executed_counter_->add();
-  if (queue_depth_hist_) {
-    queue_depth_hist_->record(static_cast<double>(heap_.size()));
-  }
-  if (hook_) hook_(now_, heap_.size());
 }
 
 }  // namespace wlan::sim

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -85,10 +84,6 @@ class Scheduler {
     std::uint32_t slot_ = kNoSlot;
   };
 
-  /// Observer invoked after each executed event with the event's time and
-  /// the queue depth remaining after it ran.
-  using EventHook = std::function<void(double time, std::size_t pending)>;
-
   /// Current simulation time.
   double now() const { return now_; }
 
@@ -129,14 +124,13 @@ class Scheduler {
   /// queue is empty. Lets the epoch driver skip fully idle epochs.
   double next_time() const;
 
-  /// Total events executed over the scheduler's lifetime.
+  /// Total events executed over the scheduler's lifetime, advanced when
+  /// each run call returns.
   std::uint64_t executed() const { return executed_; }
 
-  /// Installs (or clears, with nullptr) the per-event observer.
-  void set_event_hook(EventHook hook) { hook_ = std::move(hook); }
-
   /// Registers this scheduler's metrics in `registry` and keeps them
-  /// updated: counter "sim.events_executed" and log-spaced histogram
+  /// updated: counter "sim.events_executed" (advanced at the end of each
+  /// run call, like executed()) and log-spaced histogram
   /// "sim.queue_depth" (sampled after each executed event). `registry`
   /// must outlive the scheduler's runs.
   void bind_metrics(obs::Registry& registry);
@@ -168,7 +162,6 @@ class Scheduler {
   void release(std::uint32_t slot, std::size_t pos);
   template <class Before>
   std::size_t drain(Before before);
-  void after_event();
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -176,7 +169,6 @@ class Scheduler {
   std::vector<Key> heap_;  // min-heap on (time, order)
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_;  // free slab slots, reused LIFO
-  EventHook hook_;
   obs::Counter* executed_counter_ = nullptr;
   obs::Histogram* queue_depth_hist_ = nullptr;
 };

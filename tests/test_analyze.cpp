@@ -128,7 +128,6 @@ TraceEvent tx_event(EventType type, double t, std::int32_t node,
 TEST(AirtimeAccountant, PartitionsOverlappingTransmissions) {
   AirtimeAccountant::Config cfg;
   cfg.n_nodes = 2;
-  cfg.n_flows = 0;
   AirtimeAccountant acc(cfg);
   // node 0 transmits [0, 2), node 1 transmits [1, 3); run ends at 4.
   acc.record(tx_event(EventType::kTxStart, 0.0, 0));
@@ -147,36 +146,6 @@ TEST(AirtimeAccountant, PartitionsOverlappingTransmissions) {
   EXPECT_EQ(r.nodes[0].data_frames, 1u);
   EXPECT_NEAR(r.idle_fraction() + r.busy_fraction() + r.collision_fraction(),
               1.0, 1e-12);
-}
-
-TEST(AirtimeAccountant, BucketsDeliveriesIntoGoodputWindows) {
-  AirtimeAccountant::Config cfg;
-  cfg.n_nodes = 1;
-  cfg.n_flows = 1;
-  cfg.window_s = 0.01;
-  cfg.payload_bits = 8000.0;
-  AirtimeAccountant acc(cfg);
-  TraceEvent e;
-  e.type = EventType::kStateChange;
-  e.node = 0;
-  e.flow = 0;
-  e.detail = "DELIVERED";
-  e.time_s = 0.005;
-  acc.record(e);
-  e.time_s = 0.015;
-  acc.record(e);
-  e.time_s = 0.0151;
-  acc.record(e);
-  const AirtimeReport& r = acc.finalize(0.03);
-  ASSERT_EQ(r.flows.size(), 1u);
-  const FlowAirtime& f = r.flows[0];
-  EXPECT_EQ(f.delivered, 3u);
-  ASSERT_EQ(f.window_deliveries.size(), 3u);
-  EXPECT_EQ(f.window_deliveries[0], 1u);
-  EXPECT_EQ(f.window_deliveries[1], 2u);
-  EXPECT_EQ(f.window_deliveries[2], 0u);
-  // 2 deliveries x 8000 bits in a 10 ms window = 1.6 Mbps.
-  EXPECT_DOUBLE_EQ(f.goodput_mbps[1], 1.6);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +182,6 @@ TEST(AirtimeNetSim, FiveNodeLedgerReconcilesWithRegistryCounters) {
   run_star(sim, 4, 0.5, 11);
   const AirtimeReport& a = sim.result.airtime;
   ASSERT_EQ(a.nodes.size(), 5u);
-  ASSERT_EQ(a.flows.size(), 4u);
 
   // Data frames in the ledger == the simulator's own net.data_tx counter.
   std::uint64_t ledger_data = 0;
@@ -226,21 +194,11 @@ TEST(AirtimeNetSim, FiveNodeLedgerReconcilesWithRegistryCounters) {
   EXPECT_EQ(ledger_data, sim.registry.counter("net.data_tx").value());
   EXPECT_EQ(ledger_rts, sim.registry.counter("net.rts_tx").value());
 
-  // Per-flow deliveries match both the result struct and the registry.
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    const std::vector<Label> label{{"flow", std::to_string(f)}};
-    EXPECT_EQ(a.flows[f].delivered, sim.result.flows[f].delivered);
-    EXPECT_EQ(a.flows[f].delivered,
-              sim.registry.counter("net.delivered", label).value());
-    EXPECT_EQ(a.flows[f].delivered,
-              sim.registry.counter("airtime.flow_delivered", label).value());
-  }
-
   // The published gauges mirror the report.
   EXPECT_DOUBLE_EQ(sim.registry.gauge("airtime.busy_fraction").value(),
                    a.busy_fraction());
-  EXPECT_DOUBLE_EQ(sim.registry.gauge("airtime.jain_goodput").value(),
-                   a.jain_fairness_goodput());
+  EXPECT_DOUBLE_EQ(sim.registry.gauge("airtime.jain_airtime").value(),
+                   a.jain_fairness_airtime());
 }
 
 TEST(AirtimeNetSim, TenNodeDcfPartitionSumsToOneAndTxAirtimeReconciles) {

@@ -83,7 +83,7 @@ net::ShardOptions bordered(double tile_m, unsigned jobs) {
 
 // --- Planner ---------------------------------------------------------
 
-TEST(BorderPlan, TilesCarryLookaheadAndLoadEstimates) {
+TEST(BorderPlan, TilesCarryLookaheadAndCoTileFlows) {
   net::NetworkConfig cfg;
   double spacing = 0.0;
   const Deployment d = multibss63(cfg, &spacing);
@@ -98,20 +98,6 @@ TEST(BorderPlan, TilesCarryLookaheadAndLoadEstimates) {
   const double l2 = std::log2(plan.lookahead_s);
   EXPECT_EQ(l2, std::floor(l2));
   EXPECT_GE(plan.min_border_m, 0.5);
-
-  // Load estimates cover every node and flow exactly once.
-  ASSERT_EQ(plan.load.size(), plan.shards.size());
-  std::size_t nodes = 0;
-  std::size_t flows = 0;
-  for (const net::ShardLoad& l : plan.load) {
-    nodes += l.nodes;
-    flows += l.flows;
-  }
-  EXPECT_EQ(nodes, d.nodes.size());
-  EXPECT_EQ(flows, d.flows.size());
-  EXPECT_GE(plan.load_imbalance(), 1.0);
-  EXPECT_GT(plan.total_border_edges(), 0u);
-  EXPECT_GE(plan.max_load_weight(), plan.mean_load_weight());
 
   // Flow endpoints were clustered into one tile each.
   for (const net::Flow& f : d.flows) {
@@ -275,7 +261,7 @@ TEST(BorderAudit, RemoteInfluenceKeepsInvariantsIntact) {
       << (r.lifecycle.breach_messages.empty()
               ? ""
               : r.lifecycle.breach_messages.front());
-  ASSERT_EQ(r.airtime.flows.size(), d.flows.size());
+  ASSERT_EQ(r.airtime.nodes.size(), d.nodes.size());
   std::uint64_t delivered = 0;
   for (const auto& f : r.flows) delivered += f.delivered;
   EXPECT_EQ(delivered, r.total_delivered);

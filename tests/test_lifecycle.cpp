@@ -133,7 +133,6 @@ TEST(FrameLedger, SaturatedFlowSynthesizesArrivalsAndTracksInFlight) {
 TEST(TimeSeriesSampler, WindowsCoverTheRunAndCountDeliveries) {
   TimeSeriesSampler::Config cfg;
   cfg.n_flows = 1;
-  cfg.window_s = 0.01;
   cfg.payload_bits = 8000.0;
   TimeSeriesSampler sampler(cfg);
 
@@ -145,6 +144,7 @@ TEST(TimeSeriesSampler, WindowsCoverTheRunAndCountDeliveries) {
   sampler.record(ev(0.014, EventType::kCollision, 0, 0));
 
   const LifecycleSeries& s = sampler.finalize(0.05);
+  EXPECT_DOUBLE_EQ(s.window_s, 0.01);
   ASSERT_EQ(s.t_s.size(), 5u);
   // Window 0: one delivery of 8000 bits over 10 ms = 0.8 Mbps.
   EXPECT_DOUBLE_EQ(s.goodput_mbps[0], 0.8);

@@ -368,39 +368,47 @@ TEST(TraceSink, EventNamesAreStable) {
 
 // ---- scheduler instrumentation ----
 
-TEST(Scheduler, EventHookSeesTimeAndQueueDepth) {
-  sim::Scheduler sched;
-  std::vector<double> times;
-  std::vector<std::size_t> depths;
-  sched.set_event_hook([&](double t, std::size_t pending) {
-    times.push_back(t);
-    depths.push_back(pending);
-  });
-  sched.schedule(1.0, [] {});
-  sched.schedule(2.0, [] {});
-  sched.run();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 2.0);
-  EXPECT_EQ(depths[0], 1u);
-  EXPECT_EQ(depths[1], 0u);
-  EXPECT_EQ(sched.executed(), 2u);
-}
-
 TEST(Scheduler, BoundMetricsTrackExecution) {
   obs::Registry reg;
   sim::Scheduler sched;
   sched.bind_metrics(reg);
-  for (int i = 0; i < 5; ++i) {
+  const obs::Counter* executed = reg.find_counter("sim.events_executed");
+  const obs::Histogram* depth = reg.find_histogram("sim.queue_depth");
+  ASSERT_NE(executed, nullptr);
+  ASSERT_NE(depth, nullptr);
+  // After every drain the counter and executed() agree, and the depth
+  // histogram holds one sample per executed event.
+  const auto expect_in_step = [&](std::uint64_t events) {
+    EXPECT_EQ(sched.executed(), events);
+    EXPECT_EQ(executed->value(), events);
+    EXPECT_EQ(depth->count(), events);
+  };
+  for (int i = 0; i < 10; ++i) {
     sched.schedule(static_cast<double>(i), [] {});
   }
-  sched.run();
-  const obs::Counter* executed = reg.find_counter("sim.events_executed");
-  ASSERT_NE(executed, nullptr);
-  EXPECT_EQ(executed->value(), 5u);
-  const obs::Histogram* depth = reg.find_histogram("sim.queue_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->count(), 5u);
+  const sim::Scheduler::Handle dropped = sched.schedule(2.5, [] {});
+  // An event that schedules another and cancels a pending one.
+  sim::Scheduler::Handle late;
+  sched.schedule(3.5, [&] {
+    sched.schedule(0.25, [] {});
+    sched.cancel(late);
+  });
+  late = sched.schedule(4.5, [] {});
+  expect_in_step(0);
+
+  EXPECT_EQ(sched.run_before(2.0), 2u);  // t = 0, 1
+  expect_in_step(2);
+  sched.cancel(dropped);
+  EXPECT_EQ(sched.run_until(3.0), 2u);  // t = 2, 3
+  expect_in_step(4);
+  EXPECT_EQ(sched.run_before(3.0), 0u);  // an empty drain adds nothing
+  expect_in_step(4);
+  // t = 3.5 (schedules 3.75, cancels 4.5), 3.75, 4
+  EXPECT_EQ(sched.run_before(4.5), 3u);
+  expect_in_step(7);
+  EXPECT_EQ(sched.run(), 5u);  // t = 5 .. 9
+  expect_in_step(12);
+  EXPECT_EQ(sched.pending(), 0u);
 }
 
 // ---- netsim trace reconciliation ----

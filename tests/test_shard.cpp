@@ -337,22 +337,12 @@ net::ShardPlan reference_plan(const PlanCase& c, std::size_t* trimmed) {
   }
 
   ref.border = c.options.border;
-  ref.load.resize(ref.shards.size());
   double min_border = kInf;
   for (std::size_t i = 0; i < n; ++i) {
-    net::ShardLoad& l = ref.load[ref.shard_of[i]];
-    ++l.nodes;
     for (std::size_t e = ref.row_offset[i]; e < ref.row_offset[i + 1]; ++e) {
-      if (ref.shard_of[ref.nbr[e]] == ref.shard_of[i]) {
-        ++l.intra_edges;
-      } else {
-        ++l.border_edges;
+      if (ref.shard_of[ref.nbr[e]] != ref.shard_of[i])
         min_border = std::min(min_border, dist(i, ref.nbr[e]));
-      }
     }
-  }
-  if (c.with_flows) {
-    for (const net::Flow& f : c.flows) ++ref.load[ref.shard_of[f.source]].flows;
   }
   if (ref.border) {
     ref.min_border_m = std::isfinite(min_border) ? min_border : 0.0;
@@ -373,14 +363,6 @@ void expect_same_plan(const net::ShardPlan& a, const net::ShardPlan& b) {
   EXPECT_EQ(a.border, b.border);
   EXPECT_EQ(a.lookahead_s, b.lookahead_s);
   EXPECT_EQ(a.min_border_m, b.min_border_m);
-  ASSERT_EQ(a.load.size(), b.load.size());
-  for (std::size_t s = 0; s < a.load.size(); ++s) {
-    EXPECT_EQ(a.load[s].nodes, b.load[s].nodes) << "shard " << s;
-    EXPECT_EQ(a.load[s].flows, b.load[s].flows) << "shard " << s;
-    EXPECT_EQ(a.load[s].intra_edges, b.load[s].intra_edges) << "shard " << s;
-    EXPECT_EQ(a.load[s].border_edges, b.load[s].border_edges)
-        << "shard " << s;
-  }
 }
 
 TEST(ShardPlan, MatchesAllPairsReferenceAtAnyJobs) {
@@ -614,24 +596,19 @@ TEST(ShardedBooks, MergedLedgersLandInGlobalSlots) {
   // Global sizing and conservation across both cells.
   ASSERT_EQ(r.flows.size(), d.flows.size());
   ASSERT_EQ(r.airtime.nodes.size(), d.nodes.size());
-  ASSERT_EQ(r.airtime.flows.size(), d.flows.size());
   ASSERT_EQ(r.lifecycle.ledger.flows.size(), d.flows.size());
   std::uint64_t delivered = 0;
   for (const auto& f : r.flows) delivered += f.delivered;
   EXPECT_EQ(delivered, r.total_delivered);
   EXPECT_GT(delivered, 0u);
-  for (std::size_t f = 0; f < d.flows.size(); ++f) {
-    EXPECT_EQ(r.airtime.flows[f].delivered, r.flows[f].delivered);
+  for (std::size_t f = 0; f < d.flows.size(); ++f)
     EXPECT_EQ(r.lifecycle.ledger.flows[f].delivered, r.flows[f].delivered);
-  }
   // The merged channel-time partition closes over both shards' channels.
   EXPECT_NEAR(r.airtime.idle_s + r.airtime.busy_s + r.airtime.collision_s,
               r.airtime.duration_s, 1e-9 * r.airtime.duration_s);
   // Per-flow instruments carry global ids: flows 6.. are the far cell.
   EXPECT_NE(reg.find_counter("net.delivered", {{"flow", "7"}}), nullptr);
   EXPECT_NE(reg.find_counter("lifecycle.delivered", {{"flow", "7"}}),
-            nullptr);
-  EXPECT_NE(reg.find_counter("airtime.flow_delivered", {{"flow", "7"}}),
             nullptr);
   EXPECT_NE(reg.find_counter("airtime.node_tx_frames", {{"node", "13"}}),
             nullptr);
