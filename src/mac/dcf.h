@@ -79,6 +79,9 @@ struct DcfConfig {
 
 struct DcfStationResult {
   double throughput_mbps = 0.0;
+  /// Head of queue to the end of the delivering access, one sample per
+  /// successful access of this station: a TXOP burst or an A-MPDU is
+  /// one sample, not one per MPDU (see DcfResult::mean_access_delay_s).
   double mean_access_delay_s = 0.0;
   std::uint64_t delivered = 0;
   std::uint64_t collisions = 0;
@@ -93,7 +96,11 @@ struct DcfStationResult {
 struct DcfResult {
   double throughput_mbps = 0.0;        ///< delivered payload bits / time
   double collision_probability = 0.0;  ///< colliding tx / all tx attempts
-  double mean_access_delay_s = 0.0;    ///< head-of-queue to delivery
+  /// Head of queue to the end of the delivering access. One sample per
+  /// successful access, not per MPDU: a TXOP burst or an A-MPDU adds
+  /// one sample, measured to the end of the whole burst (its last ack
+  /// or block ack, plus DIFS).
+  double mean_access_delay_s = 0.0;
   double busy_airtime_fraction = 0.0;
   std::uint64_t delivered_frames = 0;
   std::uint64_t attempts = 0;          ///< transmission attempts (bursts)
