@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   namespace bu = benchutil;
   bu::args(argc, argv);
 
-  bu::title("EXT: hidden terminals, capture, and RTS/CTS",
+  bu::title("EXT-HIDDEN: hidden terminals, capture, and RTS/CTS",
             "two saturated senders around one receiver; spacing controls "
             "whether carrier sense works");
 

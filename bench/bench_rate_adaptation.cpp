@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   namespace bu = benchutil;
   bu::args(argc, argv);
 
-  bu::title("EXT: rate adaptation (ARF vs fixed vs genie) over Jakes fading",
+  bu::title("EXT-RATE: rate adaptation (ARF vs fixed vs genie) over Jakes fading",
             "adaptation is what turns the standards' rate ladders into "
             "delivered throughput in a changing channel");
 

@@ -71,7 +71,7 @@ inline constexpr const char* kKernelSpans[] = {
 /// Accumulated report state for the running bench (one per process).
 struct Report {
   std::string json_path;
-  std::string id;          // "C1", "EXT", ... — text before ':' in the title
+  std::string id;          // "C1", "EXT-CITY", ... — text before ':' in the title
   std::string title;
   std::string claim;
   std::vector<Series> series;

@@ -205,6 +205,7 @@ Engine::Engine(const NetworkConfig& config,
   busy_prev_.assign(n_, 0);
   nav_until_.assign(n_, 0.0);
   nav_armed_.assign(n_, 0);
+  nav_next_.assign(n_, kNil);
   ambient_w_.assign(n_, 0.0);
   ambient_peak_w_.assign(n_, 0.0);
   transmitting_.assign(n_, 0);
@@ -276,6 +277,7 @@ Engine::Engine(const NetworkConfig& config,
   rts_tx_ = &registry_->counter("net.rts_tx");
   rts_failures_ = &registry_->counter("net.rts_failures");
   simultaneous_starts_ = &registry_->counter("net.simultaneous_starts");
+  nav_wakeups_ = &registry_->counter("net.nav_wakeups");
   if (plan.border) {
     // One count per (transmission, influenced tile); emitted at the
     // same TX-start instants in fused and per-tile runs, so totals

@@ -126,8 +126,10 @@ std::vector<PerTableKey> per_table_keys(const NetworkConfig& config);
 /// most one pending backoff expiry (while `counting_`) and one response
 /// timeout (while `waiting_`), each held by its scheduler handle. A
 /// freeze cancels the expiry and a received CTS or ACK cancels the
-/// timeout, so a timer that runs is always live. The NAV wakeup stays
-/// one armed event per node that re-arms itself when the NAV grew.
+/// timeout, so a timer that runs is always live. NAV wakeups are
+/// batched: each NAV-setting pass schedules one event that wakes the
+/// nodes it armed, in arm order; a node whose NAV grew meanwhile
+/// re-arms as a batch of one.
 class Engine {
  public:
   /// A pending cross-tile influence record. Declared up top so
@@ -250,7 +252,7 @@ class Engine {
   void update_medium_set(std::size_t center);
   void update_medium_node(std::size_t n);
   void visit_medium(std::size_t n, std::size_t depth);
-  void arm_nav_wakeup(std::size_t n);
+  void wake_nav(std::uint32_t head);
   void queue_influence(std::size_t n, double duration_s, double nav_until_s);
   void add_influence(double w, const InfluenceRec& rec);
   void apply_influence(double w);
@@ -293,6 +295,10 @@ class Engine {
   std::vector<std::uint8_t> busy_prev_;
   std::vector<double> nav_until_;
   std::vector<std::uint8_t> nav_armed_;
+  // While nav_armed_: the next node of its NAV batch (kNil: last). A
+  // node is in at most one pending batch, so one link per node holds
+  // every batch, and a batch's event names it by its head.
+  std::vector<std::uint32_t> nav_next_;
   std::vector<double> ambient_w_;  // running sum of neighbor tx power
   std::vector<double> ambient_peak_w_;  // run max; clamp-slack scale
   std::vector<std::uint8_t> transmitting_;
@@ -324,6 +330,7 @@ class Engine {
   obs::Counter* rts_tx_ = nullptr;
   obs::Counter* rts_failures_ = nullptr;
   obs::Counter* simultaneous_starts_ = nullptr;
+  obs::Counter* nav_wakeups_ = nullptr;  // per node woken, not per event
   std::vector<obs::Counter*> delivered_;
   std::vector<obs::Counter*> attempts_;
   std::vector<obs::Counter*> retries_;

@@ -98,9 +98,12 @@ void Engine::apply_power(const PowerRow& row) {
 /// threshold set their NAV from a duration field, except the frame's
 /// addressee. A node outside the row hears the frame below the
 /// cutoff, hence below every carrier-sense threshold by construction.
+/// The nodes the pass newly arms form one NAV batch (see wake_nav).
 void Engine::overhear_nav(const PowerRow& row, double nav_until_s,
                           std::size_t addressee, std::size_t peer,
                           const char* detail) {
+  std::uint32_t head = kNil;
+  std::uint32_t tail = kNil;
   for (std::size_t i = 0; i < row.size; ++i) {
     const std::uint32_t m = row.rx[i];
     if (m == addressee || row.gain_w[i] < cs_w_[m] ||
@@ -108,8 +111,18 @@ void Engine::overhear_nav(const PowerRow& row, double nav_until_s,
       continue;
     nav_until_[m] = nav_until_s;
     emit(obs::EventType::kNavSet, m, peer, kNone, nav_until_s, detail);
-    arm_nav_wakeup(m);
+    if (nav_armed_[m]) continue;
+    nav_armed_[m] = 1;
+    nav_next_[m] = kNil;
+    if (head == kNil) {
+      head = m;
+    } else {
+      nav_next_[tail] = m;
+    }
+    tail = m;
   }
+  if (head != kNil)
+    sched_.schedule_at(nav_until_s, [this, head] { wake_nav(head); });
 }
 
 // ---- contention and carrier-sense re-evaluation ----
@@ -216,21 +229,39 @@ void Engine::visit_medium(std::size_t n, std::size_t depth) {
   busy_prev_[n] = busy;
 }
 
-/// One pending NAV wakeup per node, however many NAV_SETs pile up: a
-/// later extension just lets the armed wakeup fire early and re-arm
-/// at the new expiry, instead of scheduling one event per NAV_SET
-/// (which grew the queue quadratically under dense overhearing).
-void Engine::arm_nav_wakeup(std::size_t n) {
-  if (nav_armed_[n]) return;
-  nav_armed_[n] = 1;
-  sched_.schedule_at(nav_until_[n], [this, n] {
-    nav_armed_[n] = 0;
+// ---- NAV wakeups ----
+//
+// One pending NAV wakeup per node, however many NAV_SETs pile up: a
+// later extension just lets the armed wakeup fire early and re-arm at
+// the new expiry, instead of scheduling one event per NAV_SET (which
+// grew the queue quadratically under dense overhearing). The wakeups
+// one pass arms all expire at that pass's NAV end, so they share one
+// event that runs them in arm order. Per node they would have taken
+// consecutive sequence numbers at one timestamp; a normal event a
+// wakeup schedules takes a later number, and the only urgent events
+// (border influence) land a positive lookahead after their cause. So
+// the queue ran them back to back anyway: batching leaves every
+// event's order unchanged.
+
+/// Wakes the NAV batch that starts at `head`, in arm order: a node
+/// whose NAV grew since it was armed re-arms as a batch of one; the
+/// rest re-evaluate their medium.
+void Engine::wake_nav(std::uint32_t head) {
+  std::uint64_t woken = 0;
+  std::uint32_t n = head;
+  while (n != kNil) {
+    const std::uint32_t next = nav_next_[n];  // a re-arm relinks n
     if (sched_.now() < nav_until_[n]) {
-      arm_nav_wakeup(n);  // NAV was extended meanwhile
-      return;
+      nav_next_[n] = kNil;
+      sched_.schedule_at(nav_until_[n], [this, n] { wake_nav(n); });
+    } else {
+      nav_armed_[n] = 0;
+      update_medium_node(n);
     }
-    update_medium_node(n);
-  });
+    n = next;
+    ++woken;
+  }
+  nav_wakeups_->add(woken);
 }
 
 // ---- border influence (cross-tile edges only) ----

@@ -23,8 +23,8 @@ std::string report_title(const JsonValue& report) {
   return t ? t->as_string() : std::string();
 }
 
-// Ids alone are not unique (the extension benches all report id "EXT"),
-// so a baseline entry also carries the bench title and we prefer an
+// Ids alone need not be unique (two reports may share one), so a
+// baseline entry also carries the bench title and we prefer an
 // exact (id, title) match. If the title drifted (cosmetic retitle) fall
 // back to the first id match rather than reporting a missing bench.
 const JsonValue* find_report(const JsonValue& aggregate, const std::string& id,

@@ -16,8 +16,8 @@
 //       "metrics": [{"name": "processing_gain_db", "value": 10.4,
 //                    "rel_tol": 0.05}, ...]}, ...]}
 //
-// Ids are not unique (all extension benches report id "EXT"), so the
-// title disambiguates; an entry with a stale title degrades to matching
+// Ids need not be unique (two reports may share one), so the title
+// disambiguates; an entry with a stale title degrades to matching
 // the first report with its id rather than failing as a missing bench.
 //
 // A current value drifts when |cur - base| > abs_tol + rel_tol * |base|

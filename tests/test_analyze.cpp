@@ -501,8 +501,8 @@ TEST(BenchDiff, NewMetricsAreReportedButNeverFail) {
 }
 
 TEST(BenchDiff, DuplicateIdsDisambiguatedByTitle) {
-  // The extension benches all report id "EXT"; the title keeps their
-  // baseline entries from binding to the same report.
+  // Two reports sharing an id: the title keeps their baseline entries
+  // from binding to the same report.
   const JsonValue agg = JsonValue::parse(
       R"({"schema":"holtwlan-bench-aggregate-v1","reports":[
            {"id":"EXT","title":"EXT: rate adaptation",

@@ -2,6 +2,7 @@
 // the three entry points, randomized plan-shape equivalence (component,
 // border and unbounded plans against their one-engine reference, across
 // jobs counts, auditor clean), and the pool a border run executes on.
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -264,13 +265,19 @@ TEST(PinnedOutputs, SinrThresholdWithRtsOnAComponentPlan) {
             "epochs=0");
 }
 
-TEST(PinnedOutputs, OfdmPerWithArf) {
+/// hidden_cells under the OFDM PER model with ARF rate control.
+Scenario per_arf_cells() {
   Scenario s = hidden_cells();
   s.config.duration_s = 0.05;
   s.config.error_model.model = net::RxModel::kPerModel;
   s.config.error_model.shadowing_sigma_db = 4.0;
   s.config.error_model.realizations = 8;
   s.config.rate_control = net::RateControlMode::kArf;
+  return s;
+}
+
+TEST(PinnedOutputs, OfdmPerWithArf) {
+  Scenario s = per_arf_cells();
   Rng rng(s.seed);
   const auto r = net::simulate_network(s.config, s.nodes, s.flows, rng);
   EXPECT_EQ(pinned_outputs(r),
@@ -279,10 +286,10 @@ TEST(PinnedOutputs, OfdmPerWithArf) {
             "rts_failures=0 simultaneous_starts=8 messages=0 epochs=0");
 }
 
-TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
-  // Cells 50 m apart in one row, one 50 m tile each: neighbors across a
-  // tile edge sit inside carrier-sense range, so RTS durations set NAV
-  // through border influence.
+/// Cells 50 m apart in one row, one 50 m tile each: neighbors across a
+/// tile edge sit inside carrier-sense range, so RTS durations set NAV
+/// through border influence.
+Scenario remote_nav_cells() {
   Scenario s;
   s.config.duration_s = 0.05;
   s.config.rts_cts = true;
@@ -295,6 +302,11 @@ TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
       s.flows.push_back({s.nodes.size() - 1, ap});
     }
   }
+  return s;
+}
+
+TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
+  Scenario s = remote_nav_cells();
   RemoteNavCounter remote;
   s.config.trace = &remote;
   net::ShardOptions opt;
@@ -309,6 +321,72 @@ TEST(PinnedOutputs, BorderPlanWithRemoteNav) {
             "24/28/3/0 12/13/1/0 10/11/1/0 32/35/3/0 32/36/3/0 data_tx=221 "
             "data_failures=0 rts_tx=251 rts_failures=30 "
             "simultaneous_starts=26 messages=3648 epochs=2688");
+}
+
+// --- Pinned trace order ---------------------------------------------
+//
+// The pinned outputs above hold end results; these hold the order of
+// every event that produced them. Each run's full trace stream is folded
+// into one FNV-1a hash over every TraceEvent field, so an engine change
+// that reorders same-time work (NAV wakeups, backoff expiries, border
+// influence) fails here even when the totals come out equal.
+
+/// FNV-1a over each event's fields, in arrival order.
+class TraceHash final : public obs::TraceSink {
+ public:
+  void record(const obs::TraceEvent& e) override {
+    mix(std::bit_cast<std::uint64_t>(e.time_s));
+    mix(static_cast<std::uint64_t>(e.type));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.node)));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.peer)));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.flow)));
+    mix(static_cast<std::uint64_t>(e.frame));
+    mix(std::bit_cast<std::uint64_t>(e.value));
+    for (const char* c = e.detail; *c != '\0'; ++c)
+      byte(static_cast<unsigned char>(*c));
+    byte(0);
+    ++events;
+    if (e.type == obs::EventType::kNavSet &&
+        std::string(e.detail) == "REMOTE")
+      ++remote_navs;
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::uint64_t events = 0;
+  std::uint64_t remote_navs = 0;
+
+ private:
+  void byte(unsigned char b) {
+    hash ^= b;
+    hash *= 0x100000001b3ull;
+  }
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+};
+
+TEST(PinnedTrace, OfdmPerWithArf) {
+  Scenario s = per_arf_cells();
+  TraceHash trace;
+  s.config.trace = &trace;
+  Rng rng(s.seed);
+  net::simulate_network(s.config, s.nodes, s.flows, rng);
+  EXPECT_EQ(trace.events, 1151u);
+  EXPECT_EQ(trace.hash, 11079232009977746343ull);
+}
+
+// Tiled at jobs 1, so the tiles' events reach the sink in one order.
+TEST(PinnedTrace, BorderPlanWithRemoteNav) {
+  Scenario s = remote_nav_cells();
+  TraceHash trace;
+  s.config.trace = &trace;
+  net::ShardOptions opt;
+  opt.border = true;
+  opt.border_tile_m = 50.0;
+  opt.jobs = 1;
+  plan_shapes::run_sharded(s, opt);
+  EXPECT_GT(trace.remote_navs, 0u);
+  EXPECT_EQ(trace.events, 5732u);
+  EXPECT_EQ(trace.hash, 8641090920247620404ull);
 }
 
 /// Counts TX_STARTs addressed to a node that already has a reception
