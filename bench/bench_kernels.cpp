@@ -9,6 +9,7 @@
 #include "channel/awgn.h"
 #include "channel/mimo.h"
 #include "common/rng.h"
+#include "core/abstraction.h"
 #include "core/link.h"
 #include "dsp/fft.h"
 #include "dsp/simd.h"
@@ -275,6 +276,31 @@ void BM_ViterbiAcs(benchmark::State& state) {
                           static_cast<std::int64_t>(n_info));
 }
 BENCHMARK(BM_ViterbiAcs)->Arg(0)->Arg(1);
+
+// EESM sweep of one frozen 48-tone realization over the PER-table grid
+// (-15..50 dB in 0.5 dB steps, 131 points) — the sweep the netsim fading
+// pool runs per entry and rate. The lane-per-grid-point SIMD exp vs its
+// scalar reference; items are tone terms (one exp each).
+void BM_EesmGrid(benchmark::State& state) {
+  const ScopedSimd simd(state.range(0) != 0);
+  Rng rng(4);
+  RVec gains(48);
+  for (double& g : gains) g = rng.gaussian(0.0, 6.0);
+  RVec means(131);
+  for (std::size_t i = 0; i < means.size(); ++i) {
+    means[i] = -15.0 + 0.5 * static_cast<double>(i);
+  }
+  RVec out(means.size());
+  for (auto _ : state) {
+    eesm_effective_snr_grid_db(gains, 1.5, means, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(gains.size() *
+                                                    means.size()));
+}
+BENCHMARK(BM_EesmGrid)->Arg(0)->Arg(1);
 
 // Trial-batched Viterbi over a lane-major LLR block — `lanes` trials
 // decoded in SIMD lockstep. Every lane carries the identical noisy

@@ -2,7 +2,7 @@
 """Checks a city run of wlanbench against a committed trajectory file.
 
     wlanbench --workload city-per --seed 1 --seconds 1 --trace 0 \\
-        | scripts/bench_physics.py BENCH_pr25.json city-per 1
+        | scripts/bench_physics.py BENCH_pr26.json city-per 1
 
 Reads the run's stdout on stdin and takes its "<workload> ..." line, and
 the same line of the trajectory file's timed run at that workload and

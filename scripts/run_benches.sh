@@ -166,7 +166,7 @@ while [[ $# -gt 0 ]]; do
 done
 BUILD="${BUILD:-$ROOT/build-bench}"
 OUT="${OUT:-$ROOT/bench-out}"
-[[ "$BASELINE" == "__default__" ]] && BASELINE="$OUT/BENCH_BASELINE.json"
+[[ "$BASELINE" == "__default__" ]] && BASELINE="$ROOT/bench-out/BENCH_BASELINE.json"
 
 if [[ -n "$ONLY" ]]; then
   IFS=',' read -r -a selected <<< "$ONLY"

@@ -5,7 +5,9 @@
 #include <cmath>
 
 #include "common/units.h"
+#include "dsp/simd.h"
 #include "phy/ht.h"
+#include "phy/workspace.h"
 
 namespace wlan {
 namespace {
@@ -68,26 +70,53 @@ double eesm_effective_snr_db(std::span<const double> tone_snrs_db, double beta) 
 void eesm_effective_snr_grid_db(std::span<const double> gains_db, double beta,
                                 std::span<const double> mean_snrs_db,
                                 std::span<double> out_db) {
+  namespace simd = dsp::simd;
   check(!gains_db.empty(), "EESM requires at least one tone");
   check(beta > 0.0, "EESM beta must be positive");
   check(out_db.size() == mean_snrs_db.size(),
         "EESM grid output size must match the mean-SNR grid");
-  // Tone SNR at mean m is lin(m) * lin(g_k); convert the gains once.
-  // db_to_lin is monotone, so the log-sum-exp shift anchor (the worst
-  // tone) is the smallest gain for every mean, and the shifted exponent
-  // -(s*g_k - s*g_min)/beta = -s*(g_k - g_min)/beta needs only the
-  // precomputed gain differences.
-  RVec diff;
-  diff.reserve(gains_db.size());
-  double g_min = db_to_lin(gains_db[0]);
-  for (const double g : gains_db) g_min = std::min(g_min, db_to_lin(g));
-  for (const double g : gains_db) diff.push_back(db_to_lin(g) - g_min);
-  const double inv_n = 1.0 / static_cast<double>(gains_db.size());
-  for (std::size_t i = 0; i < mean_snrs_db.size(); ++i) {
+  // Tone SNR at mean m is s * lin(g_k) with s = lin(m). db_to_lin is
+  // monotone, so the log-sum-exp shift anchor (the worst tone) is the
+  // smallest gain for every mean, and the shifted exponent is
+  // -(s * q_k) with q_k = (lin(g_k) - g_min) / beta computed once per
+  // tone. The worst tone's term is exactly exp(-0) = 1.
+  auto q_lease = phy::tls_workspace().rvec(gains_db.size());
+  RVec& q = *q_lease;
+  for (std::size_t k = 0; k < q.size(); ++k) q[k] = db_to_lin(gains_db[k]);
+  const double g_min = *std::min_element(q.begin(), q.end());
+  for (double& qk : q) qk = (qk - g_min) / beta;
+  const double inv_n = 1.0 / static_cast<double>(q.size());
+  const auto finish = [&](double s, double acc) {
+    return lin_to_db(s * g_min - beta * std::log(acc * inv_n));
+  };
+  // Lanes are consecutive grid points; each sums its tones in index
+  // order, exactly as the scalar tail does, so the two paths agree
+  // bitwise.
+  const std::size_t n = mean_snrs_db.size();
+  const std::size_t n_vec =
+      simd::vector_enabled() ? n - n % simd::kWidth : 0;
+  for (std::size_t i = 0; i < n_vec; i += simd::kWidth) {
+    std::array<double, simd::kWidth> s{};
+    std::array<double, simd::kWidth> acc{};
+    for (std::size_t w = 0; w < s.size(); ++w) {
+      s[w] = db_to_lin(mean_snrs_db[i + w]);
+    }
+    const simd::DVec sv = simd::DVec::load(s.data());
+    simd::DVec av = simd::DVec::splat(0.0);
+    for (const double qk : q) {
+      av = av + simd::exp_nonpositive(
+                    simd::negate(sv * simd::DVec::splat(qk)));
+    }
+    av.store(acc.data());
+    for (std::size_t w = 0; w < s.size(); ++w) {
+      out_db[i + w] = finish(s[w], acc[w]);
+    }
+  }
+  for (std::size_t i = n_vec; i < n; ++i) {
     const double s = db_to_lin(mean_snrs_db[i]);
     double acc = 0.0;
-    for (const double d : diff) acc += std::exp(-s * d / beta);
-    out_db[i] = lin_to_db(s * g_min - beta * std::log(acc * inv_n));
+    for (const double qk : q) acc += simd::exp_nonpositive(-(s * qk));
+    out_db[i] = finish(s, acc);
   }
 }
 

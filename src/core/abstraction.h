@@ -45,7 +45,11 @@ double eesm_effective_snr_db(std::span<const double> tone_snrs_db, double beta);
 /// the sweep — the tone SNR at mean m is lin(m) * lin(g_k), and since
 /// the mapping is monotone the worst tone is the smallest gain for
 /// every mean — so a sweep point costs one exp per tone instead of two.
-/// Agrees with the scalar form to floating-point rounding (not bitwise).
+/// That exp is `dsp::simd::exp_nonpositive` with one vector lane per
+/// grid point, so the output is bitwise the same with vectors on or off
+/// and in a scalar build; it agrees with the std::exp-based scalar form
+/// to floating-point rounding (not bitwise). Allocates nothing once the
+/// thread's workspace is warm.
 void eesm_effective_snr_grid_db(std::span<const double> gains_db, double beta,
                                 std::span<const double> mean_snrs_db,
                                 std::span<double> out_db);

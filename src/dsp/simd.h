@@ -16,9 +16,13 @@
 // vectorized kernel is bitwise identical to its scalar loop as long as
 // it performs the same per-element arithmetic in any order. Kernels
 // built on this layer are required to keep that property; the
-// `test_simd` suite enforces it.
+// `test_simd` suite enforces it. The one exception to "float ops only"
+// is `scale_pow2`, an exact integer add on the exponent bits, which the
+// vector `exp_nonpositive` and its scalar reference share.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -63,6 +67,16 @@ bool vector_enabled() noexcept;
 /// Forces (or restores) the scalar reference path; used by the equality
 /// tests and the micro-benches. Affects all threads.
 void set_vector_enabled(bool enabled) noexcept;
+
+/// y * 2^k, exact, where `t` holds k + 1.5 * 2^52: the register that
+/// rounds k by the 1.5 * 2^52 shift, whose low mantissa bits are k in
+/// two's complement. Shifting t's bits left by 52 leaves k << 52 (mod
+/// 2^64), and adding that to y's bits adds k to y's biased exponent.
+/// Exact as long as the result stays a normal number.
+inline double scale_pow2(double y, double t) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(y) +
+                               (std::bit_cast<std::uint64_t>(t) << 52));
+}
 
 // ---------------------------------------------------------------------------
 // DVec: `width()` independent double lanes.
@@ -116,6 +130,12 @@ inline DVec gather(const double* base, const std::uint32_t* idx) {
   return {_mm256_i32gather_pd(
       base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8)};
 }
+/// Lanewise y * 2^k where t = k + 1.5 * 2^52 (see `scale_pow2(double,
+/// double)`): an integer add of k << 52 on the exponent bits.
+inline DVec scale_pow2(DVec y, DVec t) {
+  const __m256i k = _mm256_slli_epi64(_mm256_castpd_si256(t.v), 52);
+  return {_mm256_castsi256_pd(_mm256_add_epi64(_mm256_castpd_si256(y.v), k))};
+}
 
 #elif defined(HOLTWLAN_SIMD_SSE2)
 
@@ -153,6 +173,10 @@ inline unsigned mask_lt(DVec a, DVec b) {
 }
 inline DVec gather(const double* base, const std::uint32_t* idx) {
   return {_mm_set_pd(base[idx[1]], base[idx[0]])};
+}
+inline DVec scale_pow2(DVec y, DVec t) {
+  const __m128i k = _mm_slli_epi64(_mm_castpd_si128(t.v), 52);
+  return {_mm_castsi128_pd(_mm_add_epi64(_mm_castpd_si128(y.v), k))};
 }
 
 #elif defined(HOLTWLAN_SIMD_NEON)
@@ -200,6 +224,10 @@ inline DVec gather(const double* base, const std::uint32_t* idx) {
   r = vsetq_lane_f64(base[idx[1]], r, 1);
   return {r};
 }
+inline DVec scale_pow2(DVec y, DVec t) {
+  const int64x2_t k = vshlq_n_s64(vreinterpretq_s64_f64(t.v), 52);
+  return {vreinterpretq_f64_s64(vaddq_s64(vreinterpretq_s64_f64(y.v), k))};
+}
 
 #else  // scalar stand-in
 
@@ -229,9 +257,78 @@ inline unsigned mask_lt(DVec a, DVec b) { return a.v < b.v ? 1u : 0u; }
 inline DVec gather(const double* base, const std::uint32_t* idx) {
   return {base[idx[0]]};
 }
+inline DVec scale_pow2(DVec y, DVec t) { return {scale_pow2(y.v, t.v)}; }
 
 #endif
 
 inline constexpr std::size_t kWidth = DVec::width();
+
+// ---------------------------------------------------------------------------
+// exp on x <= 0: one per-lane IEEE sequence shared by both forms.
+// ---------------------------------------------------------------------------
+
+namespace exp_detail {
+
+/// Below this argument the result flushes to +0. exp(-708) ~ 3.3e-308 is
+/// still normal, so `scale_pow2` stays exact on the whole kept range.
+inline constexpr double kMinArg = -708.0;
+inline constexpr double kLog2e = 1.4426950408889634;
+/// Cody-Waite split of ln 2: kLn2Hi has 32 significant bits, so k *
+/// kLn2Hi is exact for every |k| <= 1022 and x - k * kLn2Hi is exact by
+/// Sterbenz; kLn2Lo carries the rest.
+inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
+inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
+/// Adding 1.5 * 2^52 rounds a |v| < 2^51 to the nearest integer
+/// (ties to even) and leaves that integer in the low mantissa bits.
+inline constexpr double kShift = 6755399441055744.0;
+
+/// Degree-13 Taylor coefficients 1/n!, highest first: on |r| <= ln2 / 2
+/// the truncation error is below 5e-18, a fraction of an ulp of 1.
+inline constexpr std::array<double, 14> kPoly = [] {
+  std::array<double, 14> c{};
+  double fact = 1.0;
+  for (int n = 0; n < 14; ++n) {
+    if (n > 0) fact *= n;
+    c[13 - n] = 1.0 / fact;
+  }
+  return c;
+}();
+
+}  // namespace exp_detail
+
+/// exp(x) for x <= 0, the scalar reference of the vector form below:
+/// clamp, k = round(x / ln2) by the shift, r = x - k ln2 (Cody-Waite, hi
+/// then lo), a Horner polynomial without FMA, then an exact scale by
+/// 2^k. Within 1 ulp of std::exp on [-708, 0]. Inputs below -708 (and
+/// -inf) flush to +0: callers that sum such terms with at least one
+/// exact 1.0 (the EESM sweep's weakest tone) lose nothing, since the
+/// dropped terms sit ~300 orders of magnitude below it. Positive and
+/// NaN inputs are outside the contract.
+inline double exp_nonpositive(double x) {
+  using namespace exp_detail;
+  const double xc = x < kMinArg ? kMinArg : x;
+  const double t = xc * kLog2e + kShift;
+  const double k = t - kShift;
+  const double r = (xc - k * kLn2Hi) - k * kLn2Lo;
+  double p = kPoly[0];
+  for (std::size_t i = 1; i < kPoly.size(); ++i) p = p * r + kPoly[i];
+  return kMinArg > x ? 0.0 : scale_pow2(p, t);
+}
+
+/// Lanewise `exp_nonpositive(double)`, bitwise equal to it per lane.
+inline DVec exp_nonpositive(DVec x) {
+  using namespace exp_detail;
+  const DVec min_arg = DVec::splat(kMinArg);
+  const DVec shift = DVec::splat(kShift);
+  const DVec xc = max_with(x, min_arg);
+  const DVec t = xc * DVec::splat(kLog2e) + shift;
+  const DVec k = t - shift;
+  const DVec r = (xc - k * DVec::splat(kLn2Hi)) - k * DVec::splat(kLn2Lo);
+  DVec p = DVec::splat(kPoly[0]);
+  for (std::size_t i = 1; i < kPoly.size(); ++i) {
+    p = p * r + DVec::splat(kPoly[i]);
+  }
+  return select_gt(min_arg, x, DVec::splat(0.0), scale_pow2(p, t));
+}
 
 }  // namespace wlan::dsp::simd

@@ -13,7 +13,8 @@
 // interpolates that table at its mean SINR, and survives a Bernoulli
 // draw. The hot path is one table interpolation plus two RNG draws —
 // no exp/log — and set-up costs one EESM sweep per rate per pool
-// entry, whatever the number of links.
+// entry, whatever the number of links; each sweep evaluates its exps
+// with the SIMD exp of dsp/simd.h, one grid point per vector lane.
 #pragma once
 
 #include <cstddef>

@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "dsp/simd.h"
 #include "net/errormodel.h"
 #include "par/montecarlo.h"
 
@@ -91,6 +92,29 @@ TEST(FadingPool, ContentDoesNotDependOnTheLaneCount) {
     for (std::size_t k = 0; k < kK; k += 17) {
       for (double s = -5.0; s < 40.0; s += 1.3)
         ASSERT_EQ(one.table(key, k).lookup(s), four.table(key, k).lookup(s));
+    }
+  }
+}
+
+// The EESM sweep behind every OFDM/HT entry runs on the SIMD exp; its
+// scalar path must build the same pool bit for bit.
+TEST(FadingPool, ContentDoesNotDependOnTheVectorPath) {
+  const net::ErrorModelConfig cfg = per_config(8);
+  const std::vector<PerTableKey> keys = {
+      {mac::PhyGeneration::kHt, 26.0, 1028},
+      {mac::PhyGeneration::kOfdm, 6.0, 20}};
+  const bool saved = dsp::simd::vector_enabled();
+  dsp::simd::set_vector_enabled(true);
+  const FadingPool on(keys, cfg, 1);
+  dsp::simd::set_vector_enabled(false);
+  const FadingPool off(keys, cfg, 1);
+  dsp::simd::set_vector_enabled(saved);
+  const std::vector<double> snrs = probe_snrs(cfg);
+  for (const PerTableKey& key : keys) {
+    for (std::size_t k = 0; k < kK; k += 7) {
+      for (const double s : snrs)
+        ASSERT_EQ(on.table(key, k).lookup(s), off.table(key, k).lookup(s))
+            << "entry " << k << " psdu " << key.psdu_bytes << " snr " << s;
     }
   }
 }

@@ -2,6 +2,7 @@
 // monolith bitwise equivalence, thread-count-independent merges, and
 // the event-bookkeeping fixes that scaling flushed out.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +17,7 @@
 #include "common/units.h"
 #include "core/abstraction.h"
 #include "core/link.h"
+#include "dsp/simd.h"
 #include "mac/timing.h"
 #include "mesh/mesh.h"
 #include "net/errormodel.h"
@@ -675,6 +677,37 @@ TEST(EesmGrid, MatchesScalarEvaluationAcrossTheTable) {
       for (const double g : gains) snrs.push_back(means[i] + g);
       EXPECT_NEAR(grid[i], eesm_effective_snr_db(snrs, beta), 1e-6)
           << "beta " << beta << " mean " << means[i];
+    }
+  }
+}
+
+// The grid evaluator's lanes are consecutive grid points, so grid sizes
+// that are not a multiple of the lane width run the scalar tail too.
+TEST(EesmGrid, BitwiseEqualWithVectorsOnAndOff) {
+  Rng rng(37);
+  for (const std::size_t tones : {48u, 52u}) {
+    RVec gains;
+    for (std::size_t k = 0; k < tones; ++k) {
+      gains.push_back(rng.gaussian(0.0, 6.0));
+    }
+    for (const std::size_t points : {131u, 5u}) {
+      RVec means;
+      for (std::size_t i = 0; i < points; ++i) {
+        means.push_back(-15.0 + 0.5 * static_cast<double>(i));
+      }
+      RVec on(points);
+      RVec off(points);
+      const bool saved = dsp::simd::vector_enabled();
+      dsp::simd::set_vector_enabled(true);
+      eesm_effective_snr_grid_db(gains, 1.5, means, on);
+      dsp::simd::set_vector_enabled(false);
+      eesm_effective_snr_grid_db(gains, 1.5, means, off);
+      dsp::simd::set_vector_enabled(saved);
+      for (std::size_t i = 0; i < points; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(on[i]),
+                  std::bit_cast<std::uint64_t>(off[i]))
+            << tones << " tones, " << points << " points, index " << i;
+      }
     }
   }
 }
