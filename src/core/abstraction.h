@@ -150,8 +150,15 @@ class PerTable {
   std::size_t size() const { return per_.size(); }
 
   /// PER at `snr_db`: linear interpolation, clamped to the grid ends.
+  /// Throws ContractError on an empty table. The throw is written out
+  /// rather than left to `check`: where the compiler inlines a lookup on
+  /// a table it knows is empty and keeps `check`'s failure path out of
+  /// line, it cannot see that the indexing below is unreachable and
+  /// warns about it (GCC 12, -Warray-bounds).
   double lookup(double snr_db) const {
-    check(!per_.empty(), "PerTable::lookup on an empty table");
+    if (per_.empty()) [[unlikely]] {
+      throw ContractError("PerTable::lookup on an empty table");
+    }
     const double pos = (snr_db - min_db_) * inv_step_;
     if (pos <= 0.0) return per_.front();
     const double last = static_cast<double>(per_.size() - 1);

@@ -11,7 +11,8 @@
 //
 // Determinism contract: every operation here maps to one IEEE-754
 // double operation per lane (add/sub/mul/div/min/max, sign flips via
-// XOR, compares, blends). Lanes never interact — no horizontal sums, no
+// XOR, compares, blends) or is pure data movement (loads, `gather`,
+// `deinterleave`). No arithmetic mixes lanes — no horizontal sums, no
 // reassociation, no FMA (the build pins -ffp-contract=off) — so a
 // vectorized kernel is bitwise identical to its scalar loop as long as
 // it performs the same per-element arithmetic in any order. Kernels
@@ -125,10 +126,33 @@ inline unsigned mask_lt(DVec a, DVec b) {
   return static_cast<unsigned>(
       _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
 }
+/// Lanewise all-ones where a < b (ordered, quiet), else all-zeros: the
+/// lane-mask form of `mask_lt`, consumed by `bit_xor` and `flip_sign`.
+inline DVec cmp_lt(DVec a, DVec b) {
+  return {_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)};
+}
+/// Lanewise bitwise XOR (no arithmetic).
+inline DVec bit_xor(DVec a, DVec b) { return {_mm256_xor_pd(a.v, b.v)}; }
+/// Lanewise x with its sign bit flipped where `mask` is all-ones: an exact
+/// negation in those lanes, x unchanged elsewhere.
+inline DVec flip_sign(DVec x, DVec mask) {
+  return {_mm256_xor_pd(x.v, _mm256_and_pd(mask.v, _mm256_set1_pd(-0.0)))};
+}
+/// Splits the 2 * width() consecutive values a:b into their even- and
+/// odd-indexed elements, each kept in order (pure data movement).
+inline void deinterleave(DVec a, DVec b, DVec& even, DVec& odd) {
+  // unpacklo gives (a0, b0, a2, b2); swapping the middle pair orders it.
+  even = {_mm256_permute4x64_pd(_mm256_unpacklo_pd(a.v, b.v), 0xD8)};
+  odd = {_mm256_permute4x64_pd(_mm256_unpackhi_pd(a.v, b.v), 0xD8)};
+}
 /// Lane w = base[idx[w]] — an exact elementwise load (no arithmetic).
+/// The masked form with every lane enabled is the same instruction; it
+/// spares GCC 12's unmasked intrinsic its uninitialized-source warning.
 inline DVec gather(const double* base, const std::uint32_t* idx) {
-  return {_mm256_i32gather_pd(
-      base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8)};
+  return {_mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), base,
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)),
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8)};
 }
 /// Lanewise y * 2^k where t = k + 1.5 * 2^52 (see `scale_pow2(double,
 /// double)`): an integer add of k << 52 on the exponent bits.
@@ -170,6 +194,15 @@ inline unsigned mask_gt(DVec a, DVec b) {
 }
 inline unsigned mask_lt(DVec a, DVec b) {
   return static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(a.v, b.v)));
+}
+inline DVec cmp_lt(DVec a, DVec b) { return {_mm_cmplt_pd(a.v, b.v)}; }
+inline DVec bit_xor(DVec a, DVec b) { return {_mm_xor_pd(a.v, b.v)}; }
+inline DVec flip_sign(DVec x, DVec mask) {
+  return {_mm_xor_pd(x.v, _mm_and_pd(mask.v, _mm_set1_pd(-0.0)))};
+}
+inline void deinterleave(DVec a, DVec b, DVec& even, DVec& odd) {
+  even = {_mm_unpacklo_pd(a.v, b.v)};
+  odd = {_mm_unpackhi_pd(a.v, b.v)};
 }
 inline DVec gather(const double* base, const std::uint32_t* idx) {
   return {_mm_set_pd(base[idx[1]], base[idx[0]])};
@@ -219,6 +252,22 @@ inline unsigned mask_lt(DVec a, DVec b) {
   return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
                                ((vgetq_lane_u64(m, 1) & 1u) << 1));
 }
+inline DVec cmp_lt(DVec a, DVec b) {
+  return {vreinterpretq_f64_u64(vcltq_f64(a.v, b.v))};
+}
+inline DVec bit_xor(DVec a, DVec b) {
+  return {vreinterpretq_f64_u64(
+      veorq_u64(vreinterpretq_u64_f64(a.v), vreinterpretq_u64_f64(b.v)))};
+}
+inline DVec flip_sign(DVec x, DVec mask) {
+  const uint64x2_t sign =
+      vandq_u64(vreinterpretq_u64_f64(mask.v), vdupq_n_u64(1ull << 63));
+  return {vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(x.v), sign))};
+}
+inline void deinterleave(DVec a, DVec b, DVec& even, DVec& odd) {
+  even = {vuzp1q_f64(a.v, b.v)};
+  odd = {vuzp2q_f64(a.v, b.v)};
+}
 inline DVec gather(const double* base, const std::uint32_t* idx) {
   float64x2_t r = vdupq_n_f64(base[idx[0]]);
   r = vsetq_lane_f64(base[idx[1]], r, 1);
@@ -254,6 +303,23 @@ inline DVec select_gt(DVec a, DVec b, DVec c, DVec d) {
 }
 inline unsigned mask_gt(DVec a, DVec b) { return a.v > b.v ? 1u : 0u; }
 inline unsigned mask_lt(DVec a, DVec b) { return a.v < b.v ? 1u : 0u; }
+inline DVec cmp_lt(DVec a, DVec b) {
+  return {std::bit_cast<double>(a.v < b.v ? ~std::uint64_t{0}
+                                          : std::uint64_t{0})};
+}
+inline DVec bit_xor(DVec a, DVec b) {
+  return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) ^
+                                std::bit_cast<std::uint64_t>(b.v))};
+}
+inline DVec flip_sign(DVec x, DVec mask) {
+  return {std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(x.v) ^
+      (std::bit_cast<std::uint64_t>(mask.v) & (std::uint64_t{1} << 63)))};
+}
+inline void deinterleave(DVec a, DVec b, DVec& even, DVec& odd) {
+  even = a;
+  odd = b;
+}
 inline DVec gather(const double* base, const std::uint32_t* idx) {
   return {base[idx[0]]};
 }

@@ -153,33 +153,35 @@ const Trellis& trellis() {
   return t;
 }
 
-// Sign-table view of the trellis for the vector ACS: branch metric
-// bm[e0<<1|e1] == s0*l0 + s1*l1 with s0 = e0 ? -1 : +1, s1 likewise.
-// Multiplying by ±1.0 is an exact sign flip and IEEE subtraction is
-// addition of the negation, so s0*l0 + s1*l1 reproduces the scalar
-// bm table (l0+l1, l0-l1, -l0+l1, -l0-l1) bit for bit. Indexed
-// [predecessor parity][input bit][butterfly half] so each group of
-// simd::kWidth halves is one contiguous load.
+// Both generators tap the input bit (bit 6 of the register) and the
+// oldest bit (bit 0). Flipping either flips both outputs, so butterfly
+// `half` uses one output pair i and its complement i ^ 3: predecessor
+// 2*half emits i on input 0 and i ^ 3 on input 1, predecessor
+// 2*half + 1 the reverse.
+static_assert((kG0 & kG1 & 0b1000001) == 0b1000001,
+              "the vector ACS relies on both generators tapping bits 0 and 6");
+
+// Sign masks of the input-0 branch out of each even predecessor 2*half:
+// its branch metric bm[e0<<1|e1] == (l0 ^ s0) + (l1 ^ s1), where s0 is
+// the sign bit (-0.0) when e0 is set and +0.0 otherwise, s1 likewise.
+// XOR with the sign bit is an exact negation and IEEE subtraction is
+// addition of the negation, so this reproduces the scalar table (l0+l1,
+// l0-l1, -l0+l1, -l0-l1) bit for bit, and -(l0 ^ s0) - (l1 ^ s1)
+// reproduces the complement's entry bm[i ^ 3] the same way (including
+// the sign of a zero sum, which negating bm[i] would not).
 struct VecTrellis {
-  std::array<double, 32> s0[2][2];
-  std::array<double, 32> s1[2][2];
+  std::array<double, 32> s0;
+  std::array<double, 32> s1;
 };
 
 const VecTrellis& vec_trellis() {
   static const VecTrellis vt = [] {
     VecTrellis built{};
     const std::uint8_t* sym = trellis().sym.data();
-    for (int half = 0; half < 32; ++half) {
-      for (int p = 0; p < 2; ++p) {
-        for (int b = 0; b < 2; ++b) {
-          const int pred = (half << 1) | p;
-          const int i = sym[pred * 2 + b];
-          built.s0[p][b][static_cast<std::size_t>(half)] =
-              (i & 2) ? -1.0 : 1.0;
-          built.s1[p][b][static_cast<std::size_t>(half)] =
-              (i & 1) ? -1.0 : 1.0;
-        }
-      }
+    for (std::size_t half = 0; half < 32; ++half) {
+      const int i = sym[half * 4];  // predecessor 2*half, input 0
+      built.s0[half] = (i & 2) ? -0.0 : 0.0;
+      built.s1[half] = (i & 1) ? -0.0 : 0.0;
     }
     return built;
   }();
@@ -199,8 +201,12 @@ void viterbi_decode_into(std::span<const double> llrs, bool terminated,
   constexpr double kUnreachable = -1e300;
   const std::uint8_t* sym = trellis().sym.data();
 
-  std::array<double, kNumStates> metric{};
-  metric.fill(kUnreachable);
+  // Two metric buffers in ping-pong: each step reads `metric` and
+  // writes `next`, then the pointers swap.
+  std::array<double, kNumStates> buffers[2];
+  double* metric = buffers[0].data();
+  double* next = buffers[1].data();
+  std::fill(metric, metric + kNumStates, kUnreachable);
   metric[0] = 0.0;  // encoder starts at state 0
 
   // One survivor bit per state per step: the oldest-bit choice of the
@@ -210,12 +216,7 @@ void viterbi_decode_into(std::span<const double> llrs, bool terminated,
 
   const bool use_vec = dsp::simd::vector_enabled();
   const VecTrellis& vt = vec_trellis();
-  // Stride-2 deinterleave of the state metrics, refreshed per step, so
-  // the vector loop loads predecessors contiguously.
-  std::array<double, 32> m_even;
-  std::array<double, 32> m_odd;
 
-  std::array<double, kNumStates> next{};
   for (std::size_t t = 0; t < n_steps; ++t) {
     const double l0 = llrs[2 * t];
     const double l1 = llrs[2 * t + 1];
@@ -223,25 +224,28 @@ void viterbi_decode_into(std::span<const double> llrs, bool terminated,
     if (use_vec) {
       using dsp::simd::DVec;
       constexpr std::size_t W = dsp::simd::kWidth;
-      for (std::size_t h = 0; h < 32; ++h) {
-        m_even[h] = metric[2 * h];
-        m_odd[h] = metric[2 * h + 1];
-      }
       const DVec l0v = DVec::splat(l0);
       const DVec l1v = DVec::splat(l1);
-      for (int b = 0; b < 2; ++b) {
-        for (std::size_t h = 0; h < 32; h += W) {
-          const DVec bm0 = DVec::load(&vt.s0[0][b][h]) * l0v +
-                           DVec::load(&vt.s1[0][b][h]) * l1v;
-          const DVec bm1 = DVec::load(&vt.s0[1][b][h]) * l0v +
-                           DVec::load(&vt.s1[1][b][h]) * l1v;
-          const DVec c0 = DVec::load(&m_even[h]) + bm0;
-          const DVec c1 = DVec::load(&m_odd[h]) + bm1;
-          const std::size_t sp = (static_cast<std::size_t>(b) << 5) | h;
-          dsp::simd::select_gt(c1, c0, c1, c0).store(&next[sp]);
-          surv |= static_cast<std::uint64_t>(dsp::simd::mask_gt(c1, c0))
-                  << sp;
-        }
+      for (std::size_t h = 0; h < 32; h += W) {
+        // Predecessors 2h.. (even) and 2h+1.. (odd), split in registers.
+        DVec m_even;
+        DVec m_odd;
+        dsp::simd::deinterleave(DVec::load(metric + 2 * h),
+                                DVec::load(metric + 2 * h + W), m_even, m_odd);
+        const DVec a = dsp::simd::bit_xor(l0v, DVec::load(&vt.s0[h]));
+        const DVec b = dsp::simd::bit_xor(l1v, DVec::load(&vt.s1[h]));
+        const DVec bm = a + b;                       // bm[i]
+        const DVec bm_c = dsp::simd::negate(a) - b;  // bm[i ^ 3]
+        // c1 > c0 ? c1 : c0 is max_with(c0, c1): a tie keeps c0.
+        const DVec c00 = m_even + bm;
+        const DVec c01 = m_odd + bm_c;
+        dsp::simd::max_with(c00, c01).store(next + h);
+        const DVec c10 = m_even + bm_c;
+        const DVec c11 = m_odd + bm;
+        dsp::simd::max_with(c10, c11).store(next + 32 + h);
+        const std::uint64_t won0 = dsp::simd::mask_gt(c01, c00);
+        const std::uint64_t won1 = dsp::simd::mask_gt(c11, c10);
+        surv |= (won0 << h) | (won1 << (32 + h));
       }
     } else {
       // Branch metric for expected pair (e0, e1), indexed e0<<1|e1
@@ -252,22 +256,22 @@ void viterbi_decode_into(std::span<const double> llrs, bool terminated,
       for (int half = 0; half < 32; ++half) {
         const int p0 = half << 1;
         const int p1 = p0 | 1;
-        const double m0 = metric[static_cast<std::size_t>(p0)];
-        const double m1 = metric[static_cast<std::size_t>(p1)];
+        const double m0 = metric[p0];
+        const double m1 = metric[p1];
         for (int b = 0; b < 2; ++b) {
           const int sp = (b << 5) | half;
           const double c0 = m0 + bm[sym[p0 * 2 + b]];
           const double c1 = m1 + bm[sym[p1 * 2 + b]];
           if (c1 > c0) {
-            next[static_cast<std::size_t>(sp)] = c1;
+            next[sp] = c1;
             surv |= (std::uint64_t{1} << sp);
           } else {
-            next[static_cast<std::size_t>(sp)] = c0;
+            next[sp] = c0;
           }
         }
       }
     }
-    metric = next;
+    std::swap(metric, next);
     survivors[t] = surv;
   }
 
@@ -276,8 +280,8 @@ void viterbi_decode_into(std::span<const double> llrs, bool terminated,
   if (!terminated) {
     double best = -std::numeric_limits<double>::infinity();
     for (int s = 0; s < kNumStates; ++s) {
-      if (metric[static_cast<std::size_t>(s)] > best) {
-        best = metric[static_cast<std::size_t>(s)];
+      if (metric[s] > best) {
+        best = metric[s];
         state = s;
       }
     }

@@ -57,9 +57,13 @@ std::size_t coded_length(std::size_t n_info_bits, CodeRate rate);
 Bits viterbi_decode(std::span<const double> llrs, bool terminated = true);
 
 /// As viterbi_decode, leasing scratch (survivor masks) from `ws` and
-/// resizing `decoded` — allocation-free once warm. Uses the vectorized
-/// add-compare-select sweep when the SIMD build is active; bitwise
-/// identical to the scalar path either way.
+/// resizing `decoded` — allocation-free once warm. When the SIMD build
+/// is active the add-compare-select sweep runs a lane per butterfly:
+/// predecessor metrics are split into even and odd states in registers,
+/// the two metric buffers ping-pong, and every branch metric comes from
+/// one sign table and its complement (both generators tap the input and
+/// the oldest bit). Bitwise identical to the scalar path either way; the
+/// scalar loop is the reference.
 void viterbi_decode_into(std::span<const double> llrs, bool terminated,
                          Bits& decoded, Workspace& ws);
 

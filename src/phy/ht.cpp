@@ -711,40 +711,50 @@ void HtPhy::simulate_link_batch_into(std::span<const TxLane> lanes,
                                 decoded_soa, ws);
     }
   } else {
-    // LDPC: transpose each codeword position into a lane-major block and
-    // decode all lanes' codeword cw together.
     const LdpcCode& code = ldpc_code_for(mcs_.rate);
     const std::size_t k = code.info_length();
     const std::size_t n_cw = (payload_bits + k - 1) / k;
     decoded_soa.resize(n_cw * k * L);
-    auto soa_lease = ws.rvec(kLdpcBlock * L);
-    RVec& soa = *soa_lease;
     // Group-persistent decode results: thread_local so the info vectors
     // keep their capacity across groups (steady state allocation-free).
-    thread_local std::array<LdpcCode::DecodeResult, 16> results;
-    const std::span<LdpcCode::DecodeResult> lane_results(results.data(), L);
-    for (std::size_t cw = 0; cw < n_cw; ++cw) {
-      for (std::size_t l = 0; l < L; ++l) {
-        dsp::batch::scatter_lane(
-            std::span<const double>(
-                fronts.data() + l * lane_llr_count + cw * kLdpcBlock,
-                kLdpcBlock),
-            l, L, soa.data());
-      }
-      if (quantized) {
+    thread_local std::vector<LdpcCode::DecodeResult> results;
+    if (results.size() < n_cw * L) results.resize(n_cw * L);
+    const auto codeword = [&](std::size_t cw, std::size_t l) {
+      return std::span<const double>(
+          fronts.data() + l * lane_llr_count + cw * kLdpcBlock, kLdpcBlock);
+    };
+    if (quantized) {
+      // Codeword cw of every lane as one lane-major block, decoded in
+      // lockstep: the int16 scale is calibrated per block.
+      auto soa_lease = ws.rvec(kLdpcBlock * L);
+      RVec& soa = *soa_lease;
+      for (std::size_t cw = 0; cw < n_cw; ++cw) {
+        for (std::size_t l = 0; l < L; ++l) {
+          dsp::batch::scatter_lane(codeword(cw, l), l, L, soa.data());
+        }
         double maxabs = 0.0;
         for (const double v : soa) maxabs = std::max(maxabs, std::abs(v));
         const double scale = maxabs > 0.0 ? kQuantHeadroom / maxabs : 1.0;
-        code.decode_batch_i16_into(soa, L, /*max_iterations=*/40,
-                                   /*normalization=*/0.8, scale,
-                                   lane_results, ws);
-      } else {
-        code.decode_batch_into(soa, L, /*max_iterations=*/40,
-                               /*normalization=*/0.8, lane_results, ws);
+        code.decode_batch_i16_into(
+            soa, L, /*max_iterations=*/40, /*normalization=*/0.8, scale,
+            std::span<LdpcCode::DecodeResult>(results.data() + cw * L, L),
+            ws);
       }
+    } else {
+      // Every codeword of every lane in one queue (entry cw * L + l).
+      thread_local std::vector<std::span<const double>> queue;
+      queue.resize(n_cw * L);
+      for (std::size_t cw = 0; cw < n_cw; ++cw) {
+        for (std::size_t l = 0; l < L; ++l) queue[cw * L + l] = codeword(cw, l);
+      }
+      code.decode_batch_into(
+          queue, L, /*max_iterations=*/40, /*normalization=*/0.8,
+          std::span<LdpcCode::DecodeResult>(results.data(), n_cw * L), ws);
+    }
+    for (std::size_t cw = 0; cw < n_cw; ++cw) {
       for (std::size_t l = 0; l < L; ++l) {
         dsp::batch::scatter_lane(
-            std::span<const std::uint8_t>(lane_results[l].info), l, L,
+            std::span<const std::uint8_t>(results[cw * L + l].info), l, L,
             decoded_soa.data() + cw * k * L);
       }
     }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -420,28 +421,99 @@ LdpcCode::DecodeResult LdpcCode::decode(std::span<const double> llrs,
   return result;
 }
 
-void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
-                                 std::size_t lanes, int max_iterations,
-                                 double normalization,
-                                 std::span<DecodeResult> results,
-                                 Workspace& ws) const {
-  check(lanes > 0 && lanes <= 16 && results.size() == lanes,
-        "decode_batch requires 1..16 lanes with one result per lane");
-  check(llrs_soa.size() == n_ * lanes, "decode_batch LLR length mismatch");
-  if (lanes == 1) {
-    // A one-lane block is that lane's contiguous codeword.
-    decode_into(llrs_soa, max_iterations, normalization, results[0], ws);
-    return;
+namespace {
+
+// One layered min-sum check update on G adjacent strips of W lanes
+// (lanes w0 .. w0 + G*W) of a lane-major batch: post[v * L + l] is
+// variable v of lane l, c2v[e * L + l] edge e's check message, and v2c
+// holds the check's variable messages. The strips are independent, so
+// interleaving them inside the edge loop overlaps G dependency chains.
+// Per lane this is scalar_check_update's arithmetic with each
+// selection written as an exact vector op:
+//   - mag < min1 ? mag : min1 is min_with(min1, mag); the runner-up
+//     mag < min1 ? min1 : mag is max_with(mag, min1); and
+//     runner < min2 ? runner : min2 is min_with(min2, runner);
+//   - the sign product is the XOR of the msg < 0 lane masks, applied to
+//     the magnitude's sign bit (an exact negation, as in the reference);
+//   - the minimum edge is recognized by |msg| == min1 instead of
+//     min_pos: a tie makes min2 == min1, so a2 == a1 and the selected
+//     value still matches the reference.
+template <std::size_t G>
+void check_update_strips(const std::uint32_t* var, std::uint32_t e0,
+                         std::uint32_t deg, std::size_t L, std::size_t w0,
+                         dsp::simd::DVec normv, double* post, double* c2v,
+                         double* v2c) {
+  using dsp::simd::DVec;
+  constexpr std::size_t W = dsp::simd::kWidth;
+  const auto strips = [](auto&& body) {
+    [&]<std::size_t... g>(std::index_sequence<g...>) {
+      (body(g), ...);
+    }(std::make_index_sequence<G>{});
+  };
+  const DVec zero = DVec::splat(0.0);
+  std::array<DVec, G> min1;
+  std::array<DVec, G> min2;
+  std::array<DVec, G> neg;
+  strips([&](std::size_t g) {
+    min1[g] = DVec::splat(1e300);
+    min2[g] = min1[g];
+    neg[g] = zero;
+  });
+  for (std::uint32_t i = 0; i < deg; ++i) {
+    const double* pv = post + var[e0 + i] * L + w0;
+    const double* cv = c2v + (e0 + i) * L + w0;
+    double* mv = v2c + i * L + w0;
+    strips([&](std::size_t g) {
+      const DVec msg = DVec::load(pv + g * W) - DVec::load(cv + g * W);
+      msg.store(mv + g * W);
+      const DVec mag = dsp::simd::abs(msg);
+      min2[g] = dsp::simd::min_with(min2[g],
+                                    dsp::simd::max_with(mag, min1[g]));
+      min1[g] = dsp::simd::min_with(min1[g], mag);
+      neg[g] = dsp::simd::bit_xor(neg[g], dsp::simd::cmp_lt(msg, zero));
+    });
+  }
+  std::array<DVec, G> a1;
+  std::array<DVec, G> a2;
+  strips([&](std::size_t g) {
+    a1[g] = min1[g] * normv;
+    a2[g] = min2[g] * normv;
+  });
+  for (std::uint32_t i = 0; i < deg; ++i) {
+    double* pv = post + var[e0 + i] * L + w0;
+    double* cv = c2v + (e0 + i) * L + w0;
+    const double* mv = v2c + i * L + w0;
+    strips([&](std::size_t g) {
+      const DVec old = DVec::load(mv + g * W);
+      // abs(old) reproduces the first pass's magnitude bit for bit.
+      const DVec base =
+          dsp::simd::select_gt(dsp::simd::abs(old), min1[g], a1[g], a2[g]);
+      const DVec new_msg = dsp::simd::flip_sign(
+          base, dsp::simd::bit_xor(dsp::simd::cmp_lt(old, zero), neg[g]));
+      new_msg.store(cv + g * W);
+      (old + new_msg).store(pv + g * W);
+    });
+  }
+}
+
+}  // namespace
+
+void LdpcCode::decode_batch_into(
+    std::span<const std::span<const double>> codewords, std::size_t lanes,
+    int max_iterations, double normalization, std::span<DecodeResult> results,
+    Workspace& ws) const {
+  check(lanes > 0 && lanes <= 16 && results.size() == codewords.size(),
+        "decode_batch requires 1..16 lanes with one result per codeword");
+  for (const std::span<const double> cw : codewords) {
+    check(cw.size() == n_, "decode_batch LLR length mismatch");
   }
   constexpr std::size_t W = dsp::simd::kWidth;
-  if (!dsp::simd::vector_enabled() || !dsp::batch::vectorizable(lanes, W)) {
-    // Remainder groups and scalar builds: extract each lane and run the
-    // reference kernel — bitwise identical by construction.
-    auto lane_lease = ws.rvec(n_);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      dsp::batch::gather_lane(llrs_soa.data(), l, lanes,
-                              std::span<double>(*lane_lease));
-      decode_into(*lane_lease, max_iterations, normalization, results[l], ws);
+  if (lanes == 1 || !dsp::simd::vector_enabled() ||
+      !dsp::batch::vectorizable(lanes, W)) {
+    // One slot, remainder lane counts and scalar builds: the reference
+    // kernel per codeword, straight off its contiguous span.
+    for (std::size_t q = 0; q < codewords.size(); ++q) {
+      decode_into(codewords[q], max_iterations, normalization, results[q], ws);
     }
     return;
   }
@@ -450,12 +522,19 @@ void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
   using dsp::simd::DVec;
   const std::size_t L = lanes;
   const std::size_t edges = check_var_.size();
+  const std::size_t n_cw = codewords.size();
 
   auto post_lease = ws.rvec(n_ * L);
+  auto c2v_lease = ws.rvec(edges * L);
+  auto v2c_lease = ws.rvec(max_check_degree_ * L);
   double* post = post_lease->data();
-  for (std::size_t i = 0; i < llrs_soa.size(); ++i) post[i] = llrs_soa[i];
+  double* c2v = c2v_lease->data();
+  double* v2c = v2c_lease->data();
+  // Slots that never load a codeword run on zeros: cheap, finite state.
+  std::fill(post, post + n_ * L, 0.0);
+  std::fill(c2v, c2v + edges * L, 0.0);
 
-  // Per-lane syndrome over the lane-major posterior; bails on the first
+  // Per-slot syndrome over the lane-major posterior; bails on the first
   // unsatisfied check, like the contiguous helper.
   const auto lane_clean = [&](std::size_t l) {
     for (std::size_t c = 0; c < m_; ++c) {
@@ -467,43 +546,59 @@ void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
     }
     return true;
   };
-
-  std::array<bool, 16> done{};
-  const auto snapshot = [&](std::size_t l, int iterations, bool ok) {
-    DecodeResult& r = results[l];
+  const auto write_result = [&](DecodeResult& r, const double* p,
+                                std::size_t stride, int iterations, bool ok) {
     r.parity_ok = ok;
     r.iterations = iterations;
     r.info.resize(k_);
     for (std::size_t i = 0; i < k_; ++i) {
-      r.info[i] = post[info_cols_[i] * L + l] < 0.0 ? 1 : 0;
+      r.info[i] = p[info_cols_[i] * stride] < 0.0 ? 1 : 0;
     }
-    done[l] = true;
   };
 
+  // The codeword queue. A slot holds one codeword from load until its
+  // syndrome comes clean or it reaches max_iterations; then it writes
+  // that codeword's result and loads the next, at iteration 0 with its
+  // messages zeroed — exactly decode_into's starting state, so each
+  // codeword's arithmetic is decode_into's whatever else shares the
+  // batch. A codeword whose channel decisions already form a codeword
+  // exits at 0 iterations without ever entering a slot.
+  constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+  std::array<std::size_t, 16> slot_cw{};
+  std::array<int, 16> slot_iter{};
+  std::size_t next = 0;
+  const auto refill = [&](std::size_t l) {
+    while (next < n_cw) {
+      const std::size_t q = next++;
+      const double* llrs = codewords[q].data();
+      const bool clean = syndrome_clean(llrs, check_offset_, check_var_, m_);
+      if (clean || max_iterations <= 0) {
+        write_result(results[q], llrs, 1, 0, clean);
+        continue;
+      }
+      dsp::batch::scatter_lane(codewords[q], l, L, post);
+      for (std::size_t e = 0; e < edges; ++e) c2v[e * L + l] = 0.0;
+      slot_cw[l] = q;
+      slot_iter[l] = 0;
+      return true;
+    }
+    slot_cw[l] = kIdle;
+    return false;
+  };
   std::size_t active = 0;
-  for (std::size_t l = 0; l < L; ++l) {
-    // Channel decisions already form a codeword — 0-iteration exit.
-    if (lane_clean(l)) snapshot(l, 0, true); else ++active;
-  }
-  if (active == 0) return;
+  for (std::size_t l = 0; l < L; ++l) active += refill(l) ? 1 : 0;
 
-  auto c2v_lease = ws.rvec(edges * L);
-  auto v2c_lease = ws.rvec(max_check_degree_ * L);
-  double* c2v = c2v_lease->data();
-  double* v2c = v2c_lease->data();
-  std::fill(c2v, c2v + edges * L, 0.0);
-
-  // Drain scratch: one lane's contiguous posterior + messages, finished
+  // Drain scratch: one slot's contiguous posterior + messages, finished
   // on the scalar reference kernel from bitwise-identical state.
   auto dpost_lease = ws.rvec(n_);
   auto dc2v_lease = ws.rvec(edges);
   auto dv2c_lease = ws.rvec(max_check_degree_);
-  const auto drain_lane = [&](std::size_t l, int start_iter) {
+  const auto drain_slot = [&](std::size_t l) {
     double* dpost = dpost_lease->data();
     double* dc2v = dc2v_lease->data();
     dsp::batch::gather_lane(post, l, L, std::span<double>(*dpost_lease));
     dsp::batch::gather_lane(c2v, l, L, std::span<double>(*dc2v_lease));
-    int iter = start_iter;
+    int iter = slot_iter[l];
     bool ok = false;
     for (; iter < max_iterations; ++iter) {
       for (std::size_t c = 0; c < m_; ++c) {
@@ -517,81 +612,52 @@ void LdpcCode::decode_batch_into(std::span<const double> llrs_soa,
         break;
       }
     }
-    DecodeResult& r = results[l];
-    r.parity_ok = ok;
-    r.iterations = iter;
-    r.info.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      r.info[i] = dpost[info_cols_[i]] < 0.0 ? 1 : 0;
-    }
-    done[l] = true;
+    write_result(results[slot_cw[l]], dpost, 1, iter, ok);
   };
 
   const DVec normv = DVec::splat(normalization);
-  const DVec zero = DVec::splat(0.0);
-  const DVec pos1 = DVec::splat(1.0);
-  const DVec neg1 = DVec::splat(-1.0);
-  // Once at most this many lanes are still decoding, vector iterations
-  // mostly push dead state around — extract and drain them instead.
+  const std::size_t strips = L / W;
+  // Once the queue is empty and at most this many slots still decode,
+  // vector iterations mostly push dead state around — drain them.
   constexpr std::size_t kDrainAt = 2;
-
-  for (int it = 0; it < max_iterations && active > 0; ++it) {
-    if (active <= kDrainAt) {
+  while (active > 0) {
+    if (next == n_cw && active <= kDrainAt) {
       for (std::size_t l = 0; l < L; ++l) {
-        if (!done[l]) drain_lane(l, it);
+        if (slot_cw[l] != kIdle) drain_slot(l);
       }
       return;
     }
     for (std::size_t c = 0; c < m_; ++c) {
       const std::uint32_t e0 = check_offset_[c];
       const std::uint32_t deg = check_offset_[c + 1] - e0;
-      for (std::size_t w = 0; w < L; w += W) {
-        // The scalar reference's branch-free selections, a lane (trial)
-        // per element: the two-minimum recurrence maps each ?: onto
-        // select_gt, the sign parity accumulates as a ±1.0 product
-        // (exact sign flips), and the one minimum edge is recognized by
-        // mag == min1 instead of min_pos — ties make min2 == min1, so
-        // a2 == a1 and the selected value still matches the reference.
-        DVec min1 = DVec::splat(1e300);
-        DVec min2 = DVec::splat(1e300);
-        DVec pprod = pos1;
-        for (std::uint32_t i = 0; i < deg; ++i) {
-          const std::size_t v = check_var_[e0 + i];
-          const DVec msg = DVec::load(&post[v * L + w]) -
-                           DVec::load(&c2v[(e0 + i) * L + w]);
-          msg.store(&v2c[i * L + w]);
-          const DVec mag = dsp::simd::abs(msg);
-          const DVec nmin1 = dsp::simd::select_gt(min1, mag, mag, min1);
-          const DVec runner = dsp::simd::select_gt(min1, mag, min1, mag);
-          min1 = nmin1;
-          min2 = dsp::simd::select_gt(min2, runner, runner, min2);
-          pprod = pprod * dsp::simd::select_gt(zero, msg, neg1, pos1);
-        }
-        const DVec a1 = min1 * normv;
-        const DVec a2 = min2 * normv;
-        for (std::uint32_t i = 0; i < deg; ++i) {
-          const std::size_t v = check_var_[e0 + i];
-          const DVec old = DVec::load(&v2c[i * L + w]);
-          // abs(old) reproduces the pass-1 magnitude bit for bit (the
-          // sign-bit clear is exact), so no magnitude buffer is kept.
-          const DVec mag = dsp::simd::abs(old);
-          const DVec base = dsp::simd::select_gt(mag, min1, a1, a2);
-          const DVec sgn = dsp::simd::select_gt(zero, old, neg1, pos1);
-          const DVec new_msg = base * sgn * pprod;
-          new_msg.store(&c2v[(e0 + i) * L + w]);
-          (old + new_msg).store(&post[v * L + w]);
+      // Strips go through the update four at a time.
+      for (std::size_t s = 0; s < strips; s += 4) {
+        const std::uint32_t* var = check_var_.data();
+        const std::size_t w0 = s * W;
+        switch (std::min<std::size_t>(strips - s, 4)) {
+          case 1:
+            check_update_strips<1>(var, e0, deg, L, w0, normv, post, c2v, v2c);
+            break;
+          case 2:
+            check_update_strips<2>(var, e0, deg, L, w0, normv, post, c2v, v2c);
+            break;
+          case 3:
+            check_update_strips<3>(var, e0, deg, L, w0, normv, post, c2v, v2c);
+            break;
+          default:
+            check_update_strips<4>(var, e0, deg, L, w0, normv, post, c2v, v2c);
+            break;
         }
       }
     }
     for (std::size_t l = 0; l < L; ++l) {
-      if (!done[l] && lane_clean(l)) {
-        snapshot(l, it + 1, true);
-        --active;
-      }
+      if (slot_cw[l] == kIdle) continue;
+      const int iterations = ++slot_iter[l];
+      const bool ok = lane_clean(l);
+      if (!ok && iterations < max_iterations) continue;
+      write_result(results[slot_cw[l]], post + l, L, iterations, ok);
+      if (!refill(l)) --active;
     }
-  }
-  for (std::size_t l = 0; l < L; ++l) {
-    if (!done[l]) snapshot(l, max_iterations, false);
   }
 }
 

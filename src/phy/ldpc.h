@@ -62,18 +62,21 @@ class LdpcCode {
                    double normalization, DecodeResult& result,
                    Workspace& ws) const;
 
-  /// Trial-batched layered decode over a lane-major LLR block
-  /// (dsp/batch.h): llrs_soa[i * lanes + l] is variable i of lane l, so
-  /// llrs_soa.size() == n * lanes, and results.size() == lanes (at most
-  /// 16). Bitwise identical to decode_into on each lane: lanes run the
-  /// check updates in lockstep, a lane's result is snapshotted the
-  /// moment its own syndrome comes clean (its later in-lane evolution is
-  /// dead state), and once at most two lanes remain active they are
-  /// extracted and finished on the scalar reference kernel. Lane counts
-  /// that are not a multiple of the SIMD width decode lane by lane on
-  /// the scalar kernel; one lane decodes in place, with no copy.
-  void decode_batch_into(std::span<const double> llrs_soa, std::size_t lanes,
-                         int max_iterations, double normalization,
+  /// Decodes a queue of codewords (each `codewords[q]` holds n channel
+  /// LLRs) on `lanes` SIMD slots (at most 16); results.size() ==
+  /// codewords.size(). Each result is bitwise identical to decode_into
+  /// on that codeword alone. A slot runs one codeword until its syndrome
+  /// comes clean or it reaches `max_iterations`, writes that result, and
+  /// loads the next queued codeword at iteration 0 with its messages
+  /// zeroed, so no slot idles while the queue holds work; a codeword
+  /// whose channel decisions already satisfy every check exits at 0
+  /// iterations without taking a slot. Once the queue is empty and at
+  /// most two slots still decode, they finish on the scalar reference
+  /// kernel. Lane counts that are not a multiple of the SIMD width, and
+  /// one lane, decode codeword by codeword with decode_into.
+  void decode_batch_into(std::span<const std::span<const double>> codewords,
+                         std::size_t lanes, int max_iterations,
+                         double normalization,
                          std::span<DecodeResult> results, Workspace& ws) const;
 
   /// Quantized batched decode: channel LLRs are scaled by `scale`,
@@ -83,7 +86,10 @@ class LdpcCode {
   /// integer semantics on the vector and scalar paths make the output
   /// deterministic across ISAs and lane counts, but it is NOT bitwise
   /// against the double path — callers gate it on PER deltas
-  /// (bench_diff). `lanes` at most 16.
+  /// (bench_diff). `lanes` at most 16. Unlike decode_batch_into it runs
+  /// one lane-major block (llrs_soa[i * lanes + l] is variable i of lane
+  /// l) in lockstep: callers calibrate `scale` per block, so regrouping
+  /// codewords would change the output.
   void decode_batch_i16_into(std::span<const double> llrs_soa,
                              std::size_t lanes, int max_iterations,
                              double normalization, double scale,

@@ -5,6 +5,7 @@
 // The link runners' shape contract lives in test_link_shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -185,13 +186,10 @@ TEST(LdpcBatch, BitwiseMatchesScalarAcrossLaneCounts) {
         lane_llrs[l][i] = (cw[i] ? -1.0 : 1.0) + rng.gaussian(0.0, 0.9);
       }
     }
-    RVec soa(code.block_length() * lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      dsp::batch::scatter_lane(std::span<const double>(lane_llrs[l]), l,
-                               lanes, soa.data());
-    }
+    const std::vector<std::span<const double>> queue(lane_llrs.begin(),
+                                                     lane_llrs.end());
     std::vector<phy::LdpcCode::DecodeResult> batch(lanes);
-    code.decode_batch_into(soa, lanes, 40, 0.8, batch, ws);
+    code.decode_batch_into(queue, lanes, 40, 0.8, batch, ws);
     phy::LdpcCode::DecodeResult scalar;
     for (std::size_t l = 0; l < lanes; ++l) {
       code.decode_into(lane_llrs[l], 40, 0.8, scalar, ws);
@@ -199,6 +197,99 @@ TEST(LdpcBatch, BitwiseMatchesScalarAcrossLaneCounts) {
       EXPECT_EQ(batch[l].parity_ok, scalar.parity_ok);
       EXPECT_EQ(batch[l].iterations, scalar.iterations);
     }
+  }
+}
+
+// --- LDPC codeword queue ----------------------------------------------
+
+// BPSK channel LLRs (2y / sigma^2, positive = bit 0) of a random codeword.
+RVec noisy_codeword(const phy::LdpcCode& code, double sigma, Rng& rng) {
+  Bits info(code.info_length());
+  for (auto& b : info) b = static_cast<std::uint8_t>(rng.uniform_int(2));
+  const Bits cw = code.encode(info);
+  RVec llrs(cw.size());
+  for (std::size_t i = 0; i < cw.size(); ++i) {
+    llrs[i] = 2.0 * ((cw[i] ? -1.0 : 1.0) + rng.gaussian(0.0, sigma)) /
+              (sigma * sigma);
+  }
+  return llrs;
+}
+
+// Decodes `llrs` as one queue on `lanes` slots and checks every result
+// against decode_into on that codeword alone. Returns the reference
+// results so callers can check which exits the queue exercised.
+std::vector<phy::LdpcCode::DecodeResult> expect_queue_matches_alone(
+    const phy::LdpcCode& code, const std::vector<RVec>& llrs,
+    std::size_t lanes, int max_iterations, phy::Workspace& ws) {
+  const std::vector<std::span<const double>> queue(llrs.begin(), llrs.end());
+  std::vector<phy::LdpcCode::DecodeResult> batch(llrs.size());
+  code.decode_batch_into(queue, lanes, max_iterations, 0.8, batch, ws);
+  std::vector<phy::LdpcCode::DecodeResult> alone(llrs.size());
+  for (std::size_t q = 0; q < llrs.size(); ++q) {
+    code.decode_into(llrs[q], max_iterations, 0.8, alone[q], ws);
+    EXPECT_EQ(batch[q].info, alone[q].info)
+        << "lanes=" << lanes << " n=" << llrs.size() << " q=" << q;
+    EXPECT_EQ(batch[q].parity_ok, alone[q].parity_ok) << "q=" << q;
+    EXPECT_EQ(batch[q].iterations, alone[q].iterations) << "q=" << q;
+  }
+  return alone;
+}
+
+// Seeded random queues of 1 to 3L+1 codewords at every lane count that
+// fills whole vectors on the widest ISA, vectors on and off. The noise
+// levels put clean (0-iteration), converging and never-converging
+// (max-iteration) codewords into the same queue, so slots refill from
+// every exit at different iterations.
+TEST(LdpcQueue, EveryResultMatchesDecodeIntoAlone) {
+  const phy::LdpcCode code(648, 324, 12);
+  phy::Workspace ws;
+  const double sigmas[] = {0.3, 0.75, 0.8, 0.85, 1.4};
+  std::size_t clean = 0;
+  std::size_t converged = 0;
+  std::size_t failed = 0;
+  for (const bool vec : {false, true}) {
+    ScopedVector guard(vec);
+    for (const std::size_t lanes : {4u, 8u, 12u, 16u}) {
+      Rng rng(900 + lanes);
+      std::vector<std::size_t> counts{1, 3 * lanes + 1};
+      for (int i = 0; i < 2; ++i) {
+        counts.push_back(2 + rng.uniform_int(3 * lanes - 1));
+      }
+      for (const std::size_t count : counts) {
+        std::vector<RVec> llrs;
+        for (std::size_t q = 0; q < count; ++q) {
+          llrs.push_back(noisy_codeword(
+              code, sigmas[rng.uniform_int(std::size(sigmas))], rng));
+        }
+        for (const auto& r :
+             expect_queue_matches_alone(code, llrs, lanes, 40, ws)) {
+          if (r.iterations == 0) ++clean;
+          else if (r.parity_ok) ++converged;
+          else ++failed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(converged, 0u);
+  EXPECT_GT(failed, 0u);
+}
+
+// Small iteration caps make the max-iteration exit the common one, and
+// a cap of 0 returns every unclean codeword unrefined at 0 iterations.
+TEST(LdpcQueue, IterationCapExitsMatchDecodeIntoAlone) {
+  const phy::LdpcCode code(648, 540, 11);
+  phy::Workspace ws;
+  Rng rng(31);
+  std::vector<RVec> llrs;
+  for (std::size_t q = 0; q < 21; ++q) {
+    llrs.push_back(noisy_codeword(code, q % 3 == 0 ? 0.2 : 0.55, rng));
+  }
+  for (const int cap : {0, 1, 2, 5}) {
+    const auto alone = expect_queue_matches_alone(code, llrs, 8, cap, ws);
+    EXPECT_TRUE(std::any_of(alone.begin(), alone.end(), [&](const auto& r) {
+      return !r.parity_ok && r.iterations == cap;
+    })) << "cap=" << cap;
   }
 }
 

@@ -132,6 +132,112 @@ TEST(SimdEquality, ViterbiAllCodeRates) {
   }
 }
 
+// The single-stream ACS splits predecessors in registers, ping-pongs two
+// metric buffers (so the final metrics sit in either one depending on
+// the step count's parity), builds every branch metric from one table
+// and its complement, and keeps c0 on a tie. Step counts straddle the
+// vector width and the 64-state block; all-zero LLRs make every
+// comparison a tie and every metric a ±0, so a wrong tie rule or buffer
+// parity shows in the decoded bits. A noise-free stream must also decode
+// to its own info bits unterminated, which the two paths' shared
+// traceback could not show by agreeing with each other.
+TEST(SimdEquality, ViterbiSingleStreamStepCountsAndTies) {
+  Rng rng(19);
+  phy::Workspace ws;
+  for (const std::size_t steps : {1u, 2u, 63u, 64u, 501u, 4022u}) {
+    Bits info(steps);
+    rng.fill_bits(info);
+    Bits coded;
+    phy::convolutional_encode_into(info, coded);
+    RVec clean(coded.size());
+    for (std::size_t i = 0; i < coded.size(); ++i) {
+      clean[i] = coded[i] ? -4.0 : 4.0;
+    }
+    for (const bool vec : {false, true}) {
+      ScopedVector guard(vec);
+      Bits out;
+      phy::viterbi_decode_into(clean, false, out, ws);
+      EXPECT_EQ(out, info) << "steps=" << steps << " vec=" << vec;
+    }
+
+    RVec noisy(2 * steps);
+    for (std::size_t i = 0; i < noisy.size(); ++i) {
+      // Mix exact zeros of both signs and equal-magnitude pairs into
+      // Gaussian soft values.
+      switch (rng.uniform_int(8)) {
+        case 0: noisy[i] = 0.0; break;
+        case 1: noisy[i] = -0.0; break;
+        case 2: noisy[i] = i % 2 == 1 ? -noisy[i - 1] : 1.0; break;
+        default: noisy[i] = 3.0 * rng.gaussian(); break;
+      }
+    }
+    RVec zeros(2 * steps, 0.0);
+    for (const RVec* llrs : {&noisy, &zeros}) {
+      for (const bool terminated : {true, false}) {
+        Bits scalar_out;
+        Bits vector_out;
+        {
+          ScopedVector off(false);
+          phy::viterbi_decode_into(*llrs, terminated, scalar_out, ws);
+        }
+        {
+          ScopedVector on(true);
+          phy::viterbi_decode_into(*llrs, terminated, vector_out, ws);
+        }
+        EXPECT_EQ(scalar_out, vector_out)
+            << "steps=" << steps << " terminated=" << terminated
+            << (llrs == &zeros ? " (all-zero LLRs)" : "");
+      }
+    }
+  }
+}
+
+// The lane-mask and data-movement ops the decoders build on, against
+// their per-element definitions.
+TEST(SimdOps, MasksSignFlipsAndDeinterleave) {
+  using dsp::simd::DVec;
+  constexpr std::size_t W = dsp::simd::kWidth;
+  const double vals[] = {-2.5, -0.0, 0.0, 1.0, 3.0, -7.0, 0.5, -1e300};
+  double a[2 * W];
+  double b[2 * W];
+  for (std::size_t i = 0; i < 2 * W; ++i) {
+    a[i] = vals[i % std::size(vals)];
+    b[i] = vals[(3 * i + 1) % std::size(vals)];
+  }
+  const DVec va = DVec::load(a);
+  const DVec vb = DVec::load(b);
+  double out[W];
+  dsp::simd::flip_sign(va, dsp::simd::cmp_lt(va, vb)).store(out);
+  for (std::size_t i = 0; i < W; ++i) {
+    const double want = a[i] < b[i] ? -a[i] : a[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(want)) << "lane " << i;
+  }
+  // Two opposite masks XOR to all-ones: every lane flips.
+  const DVec both = dsp::simd::bit_xor(dsp::simd::cmp_lt(va, vb),
+                                       dsp::simd::cmp_lt(vb, va));
+  dsp::simd::flip_sign(vb, both).store(out);
+  for (std::size_t i = 0; i < W; ++i) {
+    const bool flips = (a[i] < b[i]) != (b[i] < a[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(flips ? -b[i] : b[i]))
+        << "lane " << i;
+  }
+  DVec even;
+  DVec odd;
+  dsp::simd::deinterleave(DVec::load(a), DVec::load(a + W), even, odd);
+  double ev[W];
+  double od[W];
+  even.store(ev);
+  odd.store(od);
+  for (std::size_t i = 0; i < W; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ev[i]),
+              std::bit_cast<std::uint64_t>(a[2 * i]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(od[i]),
+              std::bit_cast<std::uint64_t>(a[2 * i + 1]));
+  }
+}
+
 TEST(SimdEquality, LdpcMinSumDecode) {
   Rng rng(11);
   phy::Workspace ws;
